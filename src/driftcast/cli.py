@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate if needed, evaluate, report")
     add_common(p_run)
-    p_run.add_argument("--threads", type=int, default=1, help="worker processes over series")
+    p_run.add_argument("--threads", type=int, default=1, help="worker processes over series (at most one per series and CPU)")
 
     p_rep = sub.add_parser("report", help="re-render reports from stored traces")
     add_common(p_rep)

@@ -31,6 +31,8 @@ from driftcast.core import DriftcastError
 
 DEFAULT_ETA = 0.01
 
+NON_FINITE_RSS = "rss_point requires finite inputs"
+
 # (partial-model weighting, all-model weighting)
 DEFAULT_PAIRINGS = (
     ("exponential", "exponential"),
@@ -43,7 +45,7 @@ DEFAULT_PAIRINGS = (
 def rss_point(y: float, y_hat: float) -> float:
     """Single-point residual sum of squares: ``(y - y_hat)**2``."""
     if not (math.isfinite(y) and math.isfinite(y_hat)):
-        raise DriftcastError("rss_point requires finite inputs")
+        raise DriftcastError(NON_FINITE_RSS)
     residual = y - y_hat
     # plain multiply: float ** raises OverflowError instead of inf
     return residual * residual
@@ -220,8 +222,3 @@ class PairingEnsemble:
 
     def observe(self, actual: float) -> None:
         self.states = {p: observe(s, actual) for p, s in self.states.items()}
-
-
-def ensemble_forecast(ensemble: PairingEnsemble, sub_predictions: Mapping[tuple, Sequence[float]]) -> float:
-    """Step the ensemble once; see :meth:`PairingEnsemble.step`."""
-    return ensemble.step(sub_predictions)

@@ -269,15 +269,6 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     return Dataset(name=meta["name"], series=tuple(series), generator_config=meta.get("generator_config"))
 
 
-def spawned_rng(seed: int, stream: int) -> np.random.Generator:
-    """PCG64 generator for sub-stream ``stream`` of ``seed``.
-
-    Distinct streams of one seed are statistically independent and
-    reproducible on any platform.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
-
-
 def spawned_seed(seed: int, stream: int) -> int:
     """A 64-bit seed deterministically derived from (seed, stream)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))

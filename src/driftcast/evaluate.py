@@ -7,15 +7,33 @@ origin rolling over the true observations and no refitting. The
 adaptive combiners keep their weight state across block boundaries
 (weights belong to the online stream, models are refreshed).
 
-Per-series evaluation is independent: the pooled global models for all
-blocks are fitted up front (they depend only on the dataset and the
-config), after which series can be processed in any order or in
-parallel with identical results.
+The pooled global models for all blocks are fitted up front (they
+depend only on the dataset and the config). A batch engine then
+advances a whole batch of series, held as an (n_series x length)
+array, through the horizon with numpy operations across the batch:
+
+* AR forecasts, global and local, are one array operation per lag for
+  a whole block, summed in lag order from zero like ``predict_one``;
+* the ETS grid search runs on an (n_series x 99) array of levels and
+  squared errors. A window that keeps its first observation (always
+  for ``ETS_All``) extends the same grid from block to block, and the
+  fitted level rolls forward once per step;
+* ECW/GDW hold their state as (n_series x 4 pairings) arrays updated
+  with the elementwise formulas of ``ecw_step``/``gdw_step``.
+
+Every operation is elementwise across series: no sum, product or
+choice ever mixes two series, and each series' values pass through
+the same IEEE operations in the same order as in the scalar functions
+of :mod:`driftcast.learners` and :mod:`driftcast.combine` (the test
+oracles). Results therefore do not depend on how series are grouped
+into batches, so worker processes can each take a shard of the series
+and the outputs stay identical for any worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,18 +41,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from driftcast.combine import PairingEnsemble
-from driftcast.core import ConfigError, Dataset, DriftcastError, FitError, format_float
+from driftcast.combine import NON_FINITE_RSS
+from driftcast.core import ConfigError, Dataset, FitError, format_float
 from driftcast.learners import (
     DEFAULT_GLOBAL_LAGS,
     DEFAULT_RIDGE_LAMBDA,
+    ETS_ALPHA_GRID,
     WINDOW_ALL,
     WINDOW_LAST_200,
     LearnerSpec,
-    fit_ets,
+    ets_window,
     fit_global_ar,
     fit_local_ar,
-    predict_one,
 )
 from driftcast.weighting import WeightingScheme
 
@@ -143,16 +161,6 @@ class EvalConfig:
         return self.horizon // self.block_size
 
 
-@dataclass(frozen=True)
-class ForecastTrace:
-    """Predictions of one method on one series, aligned to the
-    horizon's test positions."""
-
-    series_id: str
-    method: str
-    predictions: np.ndarray
-
-
 @dataclass
 class RunResult:
     """Everything a prequential campaign produced for one dataset."""
@@ -169,23 +177,15 @@ class RunResult:
     failures: dict
     weight_traces: Optional[dict] = None
 
-    def traces(self) -> list:
-        out = []
-        for name in self.methods:
-            for i, sid in enumerate(self.series_ids):
-                out.append(ForecastTrace(series_id=sid, method=name, predictions=self.predictions[name][i]))
-        return out
-
 
 @dataclass(frozen=True)
 class _HarnessContext:
-    """Picklable bundle shipped to per-series workers."""
+    """Picklable bundle shipped to the batch workers."""
 
     train_len: int
     horizon: int
     block_size: int
     methods: tuple
-    needed_globals: tuple
     global_models: tuple
     global_failures: tuple
     capture_weights: bool = False
@@ -221,118 +221,232 @@ def _global_learner_spec(name: str, cfg: EvalConfig) -> LearnerSpec:
     )
 
 
-def _evaluate_series(values: np.ndarray, ctx: _HarnessContext) -> dict:
-    """Run every configured method over one series' horizon."""
+_ETS_DECAY = 1.0 - ETS_ALPHA_GRID
+
+
+def _ar_forecasts(V: np.ndarray, start: int, stop: int, coef: np.ndarray, intercept) -> np.ndarray:
+    """One-step AR forecasts of positions [start, stop) for every column
+    of the time-major array ``V``; ``coef`` is (p,) for a shared model
+    or (n, p) per series. Sums ``coef[k] * lag_{k+1}`` in lag order from
+    zero, then adds the intercept, as ``predict_one`` does."""
+    acc = np.zeros((stop - start, V.shape[1]))
+    for k in range(coef.shape[-1]):
+        acc = acc + coef[..., k] * V[start - 1 - k : stop - 1 - k]
+    return intercept + acc
+
+
+class _EtsGrid:
+    """Simple-exponential-smoothing grid search for every series at once:
+    level and in-sample squared error per (series, alpha) over the
+    observations [first, seen), with ``fit_ets``'s arithmetic. A window
+    that keeps its first observation (``ETS_All``) extends the same grid
+    from one block to the next."""
+
+    def __init__(self, V: np.ndarray, first: int) -> None:
+        self.first = first
+        self.seen = first + 1
+        self.level = np.repeat(V[first][:, None], ETS_ALPHA_GRID.size, axis=1)
+        self.sse = np.zeros_like(self.level)
+
+    def fit(self, V: np.ndarray, stop: int) -> tuple:
+        """Extend the grid through position ``stop`` and return the best
+        alpha's level and the alpha, per series."""
+        for y in V[self.seen : stop, :, None]:
+            self.sse += (y - self.level) ** 2
+            self.level = ETS_ALPHA_GRID * y + _ETS_DECAY * self.level
+        self.seen = stop
+        best = np.argmin(self.sse, axis=1)
+        return self.level[np.arange(best.size), best], ETS_ALPHA_GRID[best]
+
+
+def _ets_forecasts(V: np.ndarray, start: int, stop: int, level: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Roll the fitted levels forward one observation per step."""
+    out = np.empty((stop - start, V.shape[1]))
+    for k, y in enumerate(V[start:stop]):
+        out[k] = level
+        level = alpha * y + (1.0 - alpha) * level
+    return out
+
+
+class _CombinerBank:
+    """ECW or GDW state of every series in a batch: one row per series,
+    one column per pairing of ``PAIRING_SOURCES``. Each step applies
+    ``ecw_step``/``gdw_step``'s formulas elementwise, and the pairings
+    are averaged as ``PairingEnsemble.step`` does."""
+
+    def __init__(self, spec: MethodSpec, n: int) -> None:
+        self.spec = spec
+        self.w_p = np.full((n, len(PAIRING_SOURCES)), 0.5)
+        self.w_a = np.full((n, len(PAIRING_SOURCES)), 0.5)
+        self.y_partial = self.y_all = self.pred = None
+
+    def step(self, y_partial: np.ndarray, y_all: np.ndarray, prev_actual: np.ndarray) -> tuple:
+        """Forecast one step from the sub-model forecasts (n, pairings),
+        given the actual that followed the previous step. Returns the
+        combined forecast per series and the rows whose previous step
+        left non-finite inputs, where ``rss_point`` would raise."""
+        spec = self.spec
+        diverged = np.zeros(len(y_all), dtype=bool)
+        if self.pred is None:
+            pred = y_all
+        else:
+            actual = prev_actual[:, None]
+            if COMBINER_RULES[spec.name] == "ecw":
+                diverged = ~np.all(np.isfinite(self.y_partial) & np.isfinite(self.y_all), axis=1)
+                r_p = actual - self.y_partial
+                r_a = actual - self.y_all
+                eps_p = r_p * r_p
+                eps_a = r_a * r_a
+                total = eps_p + eps_a
+                zero = total == 0.0
+                self.w_p = np.where(zero, 0.5, eps_a / total)
+                self.w_a = np.where(zero, 0.5, eps_p / total)
+            else:
+                residual = actual - self.pred
+                if spec.true_gradient:
+                    err = residual
+                else:
+                    diverged = ~np.all(np.isfinite(self.pred), axis=1)
+                    err = residual * residual
+                g_p = -2.0 * self.y_partial * err
+                g_a = -2.0 * self.y_all * err
+                w_p = self.w_p - g_p * spec.eta
+                w_a = self.w_a - g_a * spec.eta
+                if spec.clamp:
+                    w_p = np.where(w_p < 0.0, 0.0, w_p)
+                    w_p = np.where(w_p > 1.0, 1.0, w_p)
+                    w_a = np.where(w_a < 0.0, 0.0, w_a)
+                    w_a = np.where(w_a > 1.0, 1.0, w_a)
+                    total = w_p + w_a
+                    zero = total == 0.0
+                    w_p, w_a = np.where(zero, 0.5, w_p / total), np.where(zero, 0.5, w_a / total)
+                self.w_p, self.w_a = w_p, w_a
+            pred = self.w_p * y_partial + self.w_a * y_all
+        self.y_partial, self.y_all, self.pred = y_partial, y_all, pred
+        combined = 0.0
+        for j in range(pred.shape[1]):
+            combined = combined + pred[:, j]
+        return combined / pred.shape[1], diverged
+
+    def weight_row(self) -> np.ndarray:
+        """(n, pairings, 5): sub-model forecasts, weights and combined
+        forecast of the last step, as the weight traces record them."""
+        return np.stack([self.y_partial, self.y_all, self.w_p, self.w_a, self.pred], axis=-1)
+
+
+def _evaluate_batch(values: np.ndarray, ctx: _HarnessContext) -> dict:
+    """Run every configured method over the horizon of each row of
+    ``values`` (one series per row), advancing all rows together."""
+    n = values.shape[0]
     horizon, block_size, train_len = ctx.horizon, ctx.block_size, ctx.train_len
-    n_blocks = horizon // block_size
-    preds = {m.name: np.full(horizon, np.nan) for m in ctx.methods}
-    fit_counts = {m.name: 0 for m in ctx.methods}
-    failed: dict[str, str] = {}
-    local_models: dict[str, object] = {}
-    ensembles: dict[str, PairingEnsemble] = {}
-    weight_log = (
-        {m.name: [] for m in ctx.methods if m.name in COMBINER_RULES} if ctx.capture_weights else None
-    )
-    for m in ctx.methods:
-        if m.name in COMBINER_RULES:
-            ensembles[m.name] = PairingEnsemble(
-                rule=COMBINER_RULES[m.name],
-                eta=m.eta,
-                true_gradient=m.true_gradient,
-                clamp=m.clamp,
-            )
+    V = np.ascontiguousarray(values.T)  # V[t]: every series' value at position t
+    names = [m.name for m in ctx.methods]
+    preds = {name: np.full((n, horizon), np.nan) for name in names}
+    fit_counts = {name: np.zeros(n, dtype=int) for name in names}
+    failed: dict = {name: {} for name in names}
+    ok = {name: np.ones(n, dtype=bool) for name in names}
+    banks = {m.name: _CombinerBank(m, n) for m in ctx.methods if m.name in COMBINER_RULES}
+    ets_grids: dict = {}
+    if ctx.capture_weights:
+        weight_rows = {name: np.empty((horizon, n, len(PAIRING_SOURCES), 5)) for name in banks}
+        weight_steps = {name: np.zeros(n, dtype=int) for name in banks}
 
-    for b in range(n_blocks):
-        fit_through = train_len + b * block_size
-        block_globals = ctx.global_models[b]
-        block_global_failures = ctx.global_failures[b]
-        for m in ctx.methods:
-            name = m.name
-            if name in failed:
-                continue
-            if name in LOCAL_SPECS:
-                p, window = LOCAL_SPECS[name]
-                try:
-                    if p is None:
-                        local_models[name] = fit_ets(values[:fit_through], window)
-                    else:
-                        local_models[name] = fit_local_ar(values[:fit_through], p, window)
-                    fit_counts[name] += 1
-                except FitError as exc:
-                    failed[name] = str(exc)
-            elif name in GLOBAL_SPECS:
-                if name in block_global_failures:
-                    failed[name] = block_global_failures[name]
-                else:
-                    fit_counts[name] += 1
-            elif name in COMBINER_RULES:
-                broken = [
-                    sub
-                    for pair in PAIRING_SOURCES.values()
-                    for sub in pair
-                    if sub in block_global_failures
-                ]
-                if broken:
-                    failed[name] = f"sub-model fit failed: {sorted(set(broken))}"
-                else:
-                    fit_counts[name] += 1
-            else:  # oracle needs no fit
-                fit_counts[name] += 1
+    def fail(name: str, rows, message: str) -> None:
+        """Mark the working series among ``rows`` (a mask, or True for
+        all) failed for ``name``."""
+        rows = np.flatnonzero(ok[name] & rows)
+        for i in rows:
+            failed[name][int(i)] = message
+        ok[name][rows] = False
 
-        for k in range(block_size):
-            t = fit_through + k
-            pos = b * block_size + k
-            history = values[:t]
-            global_preds = {
-                gname: predict_one(block_globals[gname], history)
-                for gname in ctx.needed_globals
-                if gname in block_globals
+    # diverging data overflows by design: it surfaces as non-finite
+    # forecasts (failures in build_report) or a diverged combiner
+    with np.errstate(all="ignore"):
+        for b in range(horizon // block_size):
+            start, stop = train_len + b * block_size, train_len + (b + 1) * block_size
+            block_globals = {
+                g: _ar_forecasts(V, start, stop, model.coef, model.intercept)
+                for g, model in ctx.global_models[b].items()
             }
+            block_global_failures = ctx.global_failures[b]
             for m in ctx.methods:
                 name = m.name
-                if name in failed:
+                if not ok[name].any():
                     continue
                 if name in LOCAL_SPECS:
-                    preds[name][pos] = predict_one(local_models[name], history)
+                    p, window = LOCAL_SPECS[name]
+                    if p is None:
+                        try:
+                            first = start - ets_window(window, start)
+                        except FitError as exc:
+                            fail(name, True, str(exc))
+                            continue
+                        grid = ets_grids.get(name)
+                        if grid is None or grid.first != first:
+                            grid = ets_grids[name] = _EtsGrid(V, first)
+                        forecasts = _ets_forecasts(V, start, stop, *grid.fit(V, start))
+                    else:
+                        coef, intercept = np.zeros((n, p)), np.zeros(n)
+                        for i in np.flatnonzero(ok[name]):
+                            try:
+                                model = fit_local_ar(values[i, :start], p, window)
+                            except FitError as exc:
+                                fail(name, i == np.arange(n), str(exc))
+                                continue
+                            coef[i], intercept[i] = model.coef, model.intercept
+                        if not ok[name].any():  # the history may not even hold p lags
+                            continue
+                        forecasts = _ar_forecasts(V, start, stop, coef, intercept)
+                    fit_counts[name][ok[name]] += 1
                 elif name in GLOBAL_SPECS:
-                    preds[name][pos] = global_preds[name]
+                    if name in block_global_failures:
+                        fail(name, True, block_global_failures[name])
+                        continue
+                    fit_counts[name][ok[name]] += 1
+                    forecasts = block_globals[name]
                 elif name in COMBINER_RULES:
-                    sub = {
-                        pairing: (global_preds[partial], global_preds[full])
-                        for pairing, (partial, full) in PAIRING_SOURCES.items()
-                    }
-                    try:
-                        preds[name][pos] = ensembles[name].step(sub)
-                    except DriftcastError as exc:
-                        # the squared-error weight update can blow up on
-                        # extreme data; report like a fit failure
-                        failed[name] = f"combiner diverged at t={t + 1}: {exc}"
-                        preds[name][:] = np.nan
-                else:
-                    preds[name][pos] = values[t]
-            actual = values[t]
-            for name, ensemble in ensembles.items():
-                if name not in failed:
-                    if weight_log is not None:
-                        row = {
-                            pairing: (
-                                ensemble.states[pairing].prev_pred_partial,
-                                ensemble.states[pairing].prev_pred_all,
-                                ensemble.states[pairing].w_p,
-                                ensemble.states[pairing].w_a,
-                                ensemble.states[pairing].prev_pred_combined,
-                            )
-                            for pairing in ensemble.pairings
-                        }
-                        weight_log[name].append((t + 1, actual, row))
-                    ensemble.observe(actual)
+                    broken = sorted(
+                        {sub for pair in PAIRING_SOURCES.values() for sub in pair if sub in block_global_failures}
+                    )
+                    if broken:
+                        fail(name, True, f"sub-model fit failed: {broken}")
+                        continue
+                    fit_counts[name][ok[name]] += 1
+                    y_partial = np.stack([block_globals[partial] for partial, _ in PAIRING_SOURCES.values()], axis=-1)
+                    y_all = np.stack([block_globals[full] for _, full in PAIRING_SOURCES.values()], axis=-1)
+                    forecasts = np.empty((block_size, n))
+                    for k in range(block_size):
+                        t = start + k
+                        forecasts[k], bad = banks[name].step(y_partial[k], y_all[k], V[t - 1])
+                        preds[name][bad & ok[name]] = np.nan  # a diverged combiner keeps no forecasts
+                        fail(name, bad, f"combiner diverged at t={t + 1}: {NON_FINITE_RSS}")
+                        if ctx.capture_weights:
+                            weight_rows[name][t - train_len] = banks[name].weight_row()
+                            weight_steps[name][ok[name]] += 1
+                else:  # the oracle reads the actual; it needs no fit
+                    fit_counts[name] += 1
+                    forecasts = V[start:stop]
+                preds[name][:, start - train_len : stop - train_len] = np.where(ok[name], forecasts, np.nan).T
 
-    return {"preds": preds, "fit_counts": fit_counts, "failed": failed, "weights": weight_log}
-
-
-def _evaluate_batch(args):
-    ctx, batch = args
-    return [(ordinal, _evaluate_series(values, ctx)) for ordinal, values in batch]
+    weights = None
+    if ctx.capture_weights:
+        pairings = tuple(PAIRING_SOURCES)
+        weights = {
+            name: [
+                [
+                    (train_len + pos + 1, float(V[train_len + pos, i]), dict(zip(pairings, map(tuple, table[pos, i].tolist()))))
+                    for pos in range(weight_steps[name][i])
+                ]
+                for i in range(n)
+            ]
+            for name, table in weight_rows.items()
+        }
+    return {
+        "preds": preds,
+        "fit_counts": fit_counts,
+        "failed": failed,
+        "weights": weights,
+    }
 
 
 def prequential_run(
@@ -343,10 +457,12 @@ def prequential_run(
 ) -> RunResult:
     """Run the full campaign over one dataset.
 
-    Results are independent of ``n_workers``; any fit failure marks the
-    (series, method) pair as failed and is surfaced in the result
-    rather than silently skipped. ``capture_weights`` additionally
-    records the combiners' per-step weight trajectories.
+    Results are independent of ``n_workers``, which is capped at the
+    number of series and of CPUs; each worker takes one contiguous shard
+    of the series. Any fit failure marks the (series, method) pair as
+    failed and is surfaced in the result rather than silently skipped.
+    ``capture_weights`` additionally records the combiners' per-step
+    weight trajectories.
     """
     if dataset.train_len + cfg.horizon > dataset.series_length:
         raise ConfigError(
@@ -373,52 +489,44 @@ def prequential_run(
         horizon=cfg.horizon,
         block_size=cfg.block_size,
         methods=cfg.methods,
-        needed_globals=needed,
         global_models=tuple(global_models),
         global_failures=tuple(global_failures),
         capture_weights=capture_weights,
     )
-    tasks = [(i, s.values) for i, s in enumerate(dataset.series)]
-    results: list = [None] * len(tasks)
+    values = dataset.values_matrix()
+    n = len(dataset)
+    n_workers = min(n_workers, n, os.cpu_count() or 1)
+    shards = np.array_split(np.arange(n), n_workers)
     if n_workers <= 1:
-        for ordinal, values in tasks:
-            results[ordinal] = _evaluate_series(values, ctx)
+        results = [_evaluate_batch(values, ctx)]
     else:
-        chunk_count = min(len(tasks), n_workers * 4)
-        chunks = [(ctx, tasks[i::chunk_count]) for i in range(chunk_count)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for chunk_result in pool.map(_evaluate_batch, chunks):
-                for ordinal, result in chunk_result:
-                    results[ordinal] = result
+            results = list(pool.map(_evaluate_batch, [values[rows] for rows in shards], [ctx] * n_workers))
 
     method_names = tuple(m.name for m in cfg.methods)
-    n = len(dataset.series)
-    predictions = {name: np.vstack([results[i]["preds"][name] for i in range(n)]) for name in method_names}
-    fit_counts = {
-        name: np.array([results[i]["fit_counts"][name] for i in range(n)]) for name in method_names
-    }
+    series_ids = tuple(s.id for s in dataset.series)
+    predictions = {name: np.concatenate([r["preds"][name] for r in results]) for name in method_names}
+    fit_counts = {name: np.concatenate([r["fit_counts"][name] for r in results]) for name in method_names}
     failures: dict[str, dict] = {name: {} for name in method_names}
-    for i, s in enumerate(dataset.series):
-        for name, message in results[i]["failed"].items():
-            failures[name][s.id] = message
-    actuals = np.vstack(
-        [s.values[dataset.train_len : dataset.train_len + cfg.horizon] for s in dataset.series]
-    )
+    for r, rows in zip(results, shards):
+        for name, failed in r["failed"].items():
+            for row, message in sorted(failed.items()):
+                failures[name][series_ids[rows[row]]] = message
     weight_traces = None
     if capture_weights:
         weight_traces = {
-            name: {dataset.series[i].id: results[i]["weights"][name] for i in range(n)}
+            name: dict(zip(series_ids, (rows for r in results for rows in r["weights"][name])))
             for name in method_names
             if name in COMBINER_RULES
         }
     return RunResult(
         dataset_name=dataset.name,
-        series_ids=tuple(s.id for s in dataset.series),
+        series_ids=series_ids,
         methods=method_names,
         train_len=dataset.train_len,
         horizon=cfg.horizon,
         block_size=cfg.block_size,
-        actuals=actuals,
+        actuals=values[:, dataset.train_len : dataset.train_len + cfg.horizon].copy(),
         predictions=predictions,
         fit_counts=fit_counts,
         failures=failures,
@@ -629,18 +737,17 @@ def load_traces(path: str | Path) -> RunResult:
     if not path.exists():
         raise ConfigError(f"trace file missing: {path}")
     rows_by_key: dict[tuple, list] = {}
-    methods: list[str] = []
-    series_ids: list[str] = []
+    # name -> first-seen position, so membership tests stay O(1)
+    methods: dict[str, int] = {}
+    series_ids: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["series_id", "method", "t", "actual", "prediction"]:
             raise ConfigError(f"unexpected trace header {header!r} in {path}")
         for sid, name, t, actual, prediction in reader:
-            if name not in methods:
-                methods.append(name)
-            if sid not in series_ids:
-                series_ids.append(sid)
+            methods.setdefault(name, len(methods))
+            series_ids.setdefault(sid, len(series_ids))
             rows_by_key.setdefault((name, sid), []).append((int(t), float(actual), float(prediction)))
     if not rows_by_key:
         raise ConfigError(f"trace file {path} holds no rows")
@@ -648,13 +755,13 @@ def load_traces(path: str | Path) -> RunResult:
     if len(horizons) != 1:
         raise ConfigError("inconsistent horizon lengths across traces")
     horizon = horizons.pop()
-    first = rows_by_key[(methods[0], series_ids[0])]
+    first = next(iter(rows_by_key.values()))  # the file's first (method, series)
     train_len = first[0][0] - 1
     predictions = {name: np.full((len(series_ids), horizon), np.nan) for name in methods}
     actuals = np.full((len(series_ids), horizon), np.nan)
     failures: dict[str, dict] = {name: {} for name in methods}
     for (name, sid), rows in rows_by_key.items():
-        i = series_ids.index(sid)
+        i = series_ids[sid]
         rows.sort(key=lambda r: r[0])
         predictions[name][i] = [r[2] for r in rows]
         actuals[i] = [r[1] for r in rows]

@@ -195,14 +195,21 @@ def fit_local_ar(values: Sequence[float], p: int, window: str = WINDOW_ALL) -> F
     return ForecastModel(spec=spec, fitted_through=len(values), coef=beta[:p], intercept=float(beta[p]))
 
 
+def ets_window(window: str, available: int) -> int:
+    """Resolved ets training-window length; raises FitError when it is
+    too short to rank the smoothing constants."""
+    window_len = resolve_window(window, available)
+    if window_len < 3:
+        raise FitError("ets needs a window of at least 3 observations")
+    return window_len
+
+
 def fit_ets(values: Sequence[float], window: str = WINDOW_ALL) -> ForecastModel:
     """Simple exponential smoothing with the level seeded at the first
     window observation and the smoothing constant chosen from
     {0.01, ..., 0.99} by in-sample one-step squared error."""
     values = np.asarray(values, dtype=np.float64)
-    window_len = resolve_window(window, len(values))
-    if window_len < 3:
-        raise FitError("ets needs a window of at least 3 observations")
+    window_len = ets_window(window, len(values))
     segment = values[len(values) - window_len :]
     alphas = ETS_ALPHA_GRID
     level = np.full(alphas.size, segment[0])

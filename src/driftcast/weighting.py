@@ -47,9 +47,11 @@ def weight_schedule(scheme: WeightingScheme, series_length: int) -> np.ndarray:
     """Weights for ``series_length`` instances, ordered oldest to newest.
 
     The newest instance always receives ``alpha0`` (or 1 for method
-    'none'); weights are strictly positive and non-decreasing toward
-    the newest instance. Raises if the parameters would produce a
-    non-positive weight (possible for linear schedules with
+    'none') and weights are non-decreasing toward the newest instance.
+    Exponential weights are positive until ``alpha0**(j+1)`` underflows
+    (j around 7,000 for alpha0=0.9); the oldest instances then get
+    exact zeros and drop out of a weighted fit. Raises if a linear
+    schedule would produce a non-positive weight (possible with
     beta > alpha0).
     """
     if series_length < 1:
@@ -59,9 +61,8 @@ def weight_schedule(scheme: WeightingScheme, series_length: int) -> np.ndarray:
         return np.ones(n)
     if scheme.method == "exponential":
         # newest-first alpha0**1, alpha0**2, ... then flipped
-        weights = scheme.alpha0 ** np.arange(1, n + 1, dtype=np.float64)
-    else:
-        weights = scheme.alpha0 - np.arange(n, dtype=np.float64) * (scheme.beta / n)
+        return (scheme.alpha0 ** np.arange(1, n + 1, dtype=np.float64))[::-1].copy()
+    weights = scheme.alpha0 - np.arange(n, dtype=np.float64) * (scheme.beta / n)
     if weights[-1] <= 0.0:
         raise ConfigError(
             f"{scheme.method} schedule hits non-positive weights for length {n} "

@@ -8,7 +8,6 @@ from driftcast.combine import (
     PairingEnsemble,
     DEFAULT_PAIRINGS,
     ecw_step,
-    ensemble_forecast,
     gdw_step,
     observe,
     rss_point,
@@ -213,6 +212,12 @@ class TestProtocol:
         with pytest.raises(DriftcastError):
             observe(state, 1.5)
 
+    def test_observe_rejects_non_finite_actual(self):
+        _, state = ecw_step(CombinerState(), 1.0, 2.0)
+        for actual in (float("nan"), float("inf")):
+            with pytest.raises(DriftcastError):
+                observe(state, actual)
+
     def test_step_counter_increments(self):
         _, state = ecw_step(CombinerState(), 1.0, 2.0)
         state = observe(state, 1.5)
@@ -245,13 +250,13 @@ class TestEnsemble:
     def test_equal_predictions_pass_through(self):
         ens = PairingEnsemble(rule="ecw")
         sub = {p: (4.2, 4.2) for p in DEFAULT_PAIRINGS}
-        assert ensemble_forecast(ens, sub) == pytest.approx(4.2)
+        assert ens.step(sub) == pytest.approx(4.2)
 
     def test_arithmetic_mean_of_first_step(self):
         ens = PairingEnsemble(rule="gdw")
         sub = {p: (0.0, v) for p, v in zip(DEFAULT_PAIRINGS, (1.0, 2.0, 3.0, 4.0))}
         # first step outputs each pairing's all-model forecast
-        assert ensemble_forecast(ens, sub) == pytest.approx(2.5)
+        assert ens.step(sub) == pytest.approx(2.5)
 
     def test_single_pairing_matches_raw_combiner(self):
         pairing = (("exponential", "exponential"),)

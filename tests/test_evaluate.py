@@ -1,8 +1,18 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
-from driftcast.core import ConfigError, Dataset, DriftMeta, TimeSeries
+from driftcast import evaluate
+from driftcast.combine import PairingEnsemble
+from driftcast.core import ConfigError, Dataset, DriftcastError, DriftMeta, FitError, TimeSeries
 from driftcast.evaluate import (
+    COMBINER_RULES,
+    GLOBAL_SPECS,
+    LOCAL_SPECS,
+    METHOD_ORDER,
+    PAIRING_SOURCES,
     EvalConfig,
     MethodSpec,
     aggregate,
@@ -15,6 +25,7 @@ from driftcast.evaluate import (
     rmse,
     write_traces,
 )
+from driftcast.learners import ForecastModel, fit_ets, predict_one
 from driftcast.simulate import SimConfig, make_dataset
 
 
@@ -33,6 +44,146 @@ def tiny_dataset(kind="sudden", n_series=6, length=120, train_len=90, seed=2718)
 
 def specs(*names, **flags):
     return tuple(MethodSpec(name=n, **flags) for n in names)
+
+
+ALL_METHODS = METHOD_ORDER + ("Oracle",)
+
+
+def scalar_replay(dataset, cfg):
+    """The reference for the batch engine: every method replayed series
+    by series and step by step from the scalar oracles (``fit_ets``,
+    ``fit_local_ar``, ``predict_one``, ``PairingEnsemble``), with the
+    harness's failure rules. Fits go through the ``evaluate`` module's
+    names so that a test's substitutes reach both paths."""
+    globals_by_block = []
+    for b in range(cfg.n_blocks):
+        fit_through = dataset.train_len + b * cfg.block_size
+        models, failures = {}, {}
+        for name in evaluate.needed_global_models(cfg.methods):
+            try:
+                models[name] = evaluate.fit_global_ar(dataset, fit_through, evaluate._global_learner_spec(name, cfg))
+            except FitError as exc:
+                failures[name] = str(exc)
+        globals_by_block.append((models, failures))
+    with np.errstate(all="ignore"):
+        per_series = [_replay_series(s.values, s.train_len, cfg, globals_by_block) for s in dataset.series]
+    names = [m.name for m in cfg.methods]
+    preds = {name: np.vstack([r[0][name] for r in per_series]) for name in names}
+    fit_counts = {name: np.array([r[1][name] for r in per_series]) for name in names}
+    failures = {name: {s.id: r[2][name] for s, r in zip(dataset.series, per_series) if name in r[2]} for name in names}
+    weights = {
+        name: {s.id: r[3][name] for s, r in zip(dataset.series, per_series)} for name in names if name in COMBINER_RULES
+    }
+    return preds, fit_counts, failures, weights
+
+
+def _replay_series(values, train_len, cfg, globals_by_block):
+    names = [m.name for m in cfg.methods]
+    preds = {name: np.full(cfg.horizon, np.nan) for name in names}
+    fit_counts = {name: 0 for name in names}
+    failed = {}
+    local_models = {}
+    ensembles = {
+        m.name: PairingEnsemble(rule=COMBINER_RULES[m.name], eta=m.eta, true_gradient=m.true_gradient, clamp=m.clamp)
+        for m in cfg.methods
+        if m.name in COMBINER_RULES
+    }
+    log = {name: [] for name in ensembles}
+    for b, (block_globals, block_failures) in enumerate(globals_by_block):
+        fit_through = train_len + b * cfg.block_size
+        for name in names:
+            if name in failed:
+                continue
+            if name in LOCAL_SPECS:
+                p, window = LOCAL_SPECS[name]
+                try:
+                    if p is None:
+                        local_models[name] = fit_ets(values[:fit_through], window)
+                    else:
+                        local_models[name] = evaluate.fit_local_ar(values[:fit_through], p, window)
+                except FitError as exc:
+                    failed[name] = str(exc)
+                    continue
+            elif name in GLOBAL_SPECS and name in block_failures:
+                failed[name] = block_failures[name]
+                continue
+            elif name in COMBINER_RULES:
+                broken = sorted({sub for pair in PAIRING_SOURCES.values() for sub in pair if sub in block_failures})
+                if broken:
+                    failed[name] = f"sub-model fit failed: {broken}"
+                    continue
+            fit_counts[name] += 1
+        for k in range(cfg.block_size):
+            t = fit_through + k
+            history = values[:t]
+            g = {gname: predict_one(model, history) for gname, model in block_globals.items()}
+            for name in names:
+                if name in failed:
+                    continue
+                if name in LOCAL_SPECS:
+                    preds[name][t - train_len] = predict_one(local_models[name], history)
+                elif name in GLOBAL_SPECS:
+                    preds[name][t - train_len] = g[name]
+                elif name in COMBINER_RULES:
+                    sub = {pairing: (g[partial], g[full]) for pairing, (partial, full) in PAIRING_SOURCES.items()}
+                    try:
+                        preds[name][t - train_len] = ensembles[name].step(sub)
+                    except DriftcastError as exc:
+                        failed[name] = f"combiner diverged at t={t + 1}: {exc}"
+                        preds[name][:] = np.nan
+                else:
+                    preds[name][t - train_len] = values[t]
+            for name, ensemble in ensembles.items():
+                if name not in failed:
+                    row = {
+                        p: (st.prev_pred_partial, st.prev_pred_all, st.w_p, st.w_a, st.prev_pred_combined)
+                        for p, st in ensemble.states.items()
+                    }
+                    log[name].append((t + 1, float(values[t]), row))
+                    ensemble.observe(values[t])
+    return preds, fit_counts, failed, log
+
+
+def weight_table(rows):
+    """A weight trace as one array row per step: t, actual, then the
+    five recorded values of each pairing in pairing order."""
+    assert all(list(row) == list(PAIRING_SOURCES) for _, _, row in rows)
+    return np.array([[t, actual] + [v for values in row.values() for v in values] for t, actual, row in rows])
+
+
+def assert_matches_replay(run, dataset, cfg):
+    preds, fit_counts, failures, weights = scalar_replay(dataset, cfg)
+    for name in run.methods:
+        assert np.array_equal(run.predictions[name], preds[name], equal_nan=True), name
+        assert np.array_equal(run.fit_counts[name], fit_counts[name]), name
+        assert run.failures[name] == failures[name], name
+    if run.weight_traces is not None:
+        assert set(run.weight_traces) == set(weights)
+        for name, per_series in weights.items():
+            for sid, rows in per_series.items():
+                got = run.weight_traces[name][sid]
+                assert len(got) == len(rows), (name, sid)
+                assert np.array_equal(weight_table(got), weight_table(rows), equal_nan=True), (name, sid)
+
+
+def spiked_dataset(n_series=4, spike_series=1, length=80, train_len=50, spike_at=60):
+    """Small random series, one of which holds two 1e308 values in the
+    test region, so that a model summing two lags overflows on it."""
+    rng = np.random.default_rng(5)
+    series = []
+    for i in range(n_series):
+        values = rng.normal(scale=0.1, size=length)
+        if i == spike_series:
+            values[spike_at : spike_at + 2] = 1e308
+        series.append(TimeSeries(id=f"s{i}", values=values, train_len=train_len))
+    return Dataset(name="spiked", series=tuple(series))
+
+
+def two_lag_sum_models(dataset, train_through, spec):
+    """Hand-built pooled model: forecast = lag 1 + lag 2."""
+    coef = np.zeros(spec.p)
+    coef[:2] = 1.0
+    return ForecastModel(spec=spec, fitted_through=train_through, coef=coef, intercept=0.0)
 
 
 class TestMetrics:
@@ -121,11 +272,44 @@ class TestPrequentialRun:
 
     def test_parallel_matches_serial(self):
         ds = tiny_dataset()
-        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All", "EXP_200", "GDW"))
-        serial = prequential_run(ds, cfg, n_workers=1)
-        parallel = prequential_run(ds, cfg, n_workers=3)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs(*ALL_METHODS))
+        serial = prequential_run(ds, cfg, n_workers=1, capture_weights=True)
+        parallel = prequential_run(ds, cfg, n_workers=3, capture_weights=True)
         for name in serial.methods:
-            assert np.array_equal(serial.predictions[name], parallel.predictions[name])
+            assert np.array_equal(serial.predictions[name], parallel.predictions[name], equal_nan=True)
+            assert np.array_equal(serial.fit_counts[name], parallel.fit_counts[name])
+        assert serial.failures == parallel.failures
+        assert serial.weight_traces == parallel.weight_traces
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 6), (2, 2), (None, 1)])
+    def test_worker_count_capped_by_series_and_cpus(self, monkeypatch, cpus, expected):
+        started = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                tasks = list(zip(*iterables))
+                started.append(len(tasks))
+                return [fn(*task) for task in tasks]
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        ds = tiny_dataset(n_series=6)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All", "ETS_All", "ECW"))
+        run = prequential_run(ds, cfg, n_workers=5000)
+        # one shard per worker; a single worker runs in process
+        assert started == ([expected, expected] if expected > 1 else [])
+        serial = prequential_run(ds, cfg)
+        for name in run.methods:
+            assert np.array_equal(run.predictions[name], serial.predictions[name])
 
     def test_series_reordering_invariance(self):
         ds = tiny_dataset()
@@ -147,6 +331,14 @@ class TestPrequentialRun:
         assert np.isnan(report.summary["AR5_200"]["mean_rmse"])
         assert np.isfinite(report.summary["AR3_All"]["mean_rmse"])
 
+    def test_history_shorter_than_lag_order(self):
+        ds = tiny_dataset(length=60, train_len=4)
+        cfg = EvalConfig(horizon=50, block_size=50, methods=specs("AR5_All", "ETS_All"), global_lags=3)
+        run = prequential_run(ds, cfg)
+        assert len(run.failures["AR5_All"]) == len(ds)
+        assert run.failures["ETS_All"] == {}
+        assert_matches_replay(run, ds, cfg)
+
     def test_horizon_must_fit(self):
         ds = tiny_dataset()
         with pytest.raises(ConfigError):
@@ -160,6 +352,91 @@ class TestPrequentialRun:
         cfg3 = EvalConfig(horizon=30, block_size=10, methods=specs("GDW"))
         run3 = prequential_run(ds, cfg3)
         assert np.all(np.isfinite(run3.predictions["GDW"]))
+
+
+class TestBatchEngine:
+    """The series-batched engine against the scalar replay, bit for bit."""
+
+    @pytest.mark.parametrize("literal_value_scaling", [False, True])
+    @pytest.mark.parametrize("gdw_flags", [{}, {"true_gradient": True}, {"clamp": True}])
+    def test_matches_scalar_replay(self, gdw_flags, literal_value_scaling):
+        # train_len 180 in blocks of 10: the ETS_200 window keeps its
+        # first observation for three blocks, then starts sliding
+        ds = tiny_dataset(n_series=5, length=240, train_len=180)
+        methods = tuple(MethodSpec(name=n, **(gdw_flags if n == "GDW" else {})) for n in ALL_METHODS)
+        cfg = EvalConfig(horizon=40, block_size=10, methods=methods, literal_value_scaling=literal_value_scaling)
+        run = prequential_run(ds, cfg, capture_weights=True)
+        assert_matches_replay(run, ds, cfg)
+
+    def test_failed_local_fit_keeps_earlier_forecasts(self, monkeypatch):
+        ds = tiny_dataset(n_series=4)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All", "AR5_200", "ETS_All"))
+        baseline = prequential_run(ds, cfg)
+        victim = ds.series[2].values
+        real_fit = evaluate.fit_local_ar
+
+        def fit_failing_from_block_2(values, p, window="all"):
+            if len(values) >= ds.train_len + 20 and np.array_equal(values, victim[: len(values)]):
+                raise FitError("synthetic failure")
+            return real_fit(values, p, window)
+
+        monkeypatch.setattr(evaluate, "fit_local_ar", fit_failing_from_block_2)
+        run = prequential_run(ds, cfg)
+        assert_matches_replay(run, ds, cfg)
+        for name in ("AR3_All", "AR5_200"):
+            assert run.failures[name] == {ds.series[2].id: "synthetic failure"}
+            assert list(run.fit_counts[name]) == [3, 3, 2, 3]
+            kept = np.ones(len(ds), dtype=bool)
+            kept[2] = False
+            assert np.array_equal(run.predictions[name][kept], baseline.predictions[name][kept])
+            assert np.array_equal(run.predictions[name][2, :20], baseline.predictions[name][2, :20])
+            assert np.all(np.isnan(run.predictions[name][2, 20:]))
+        assert np.array_equal(run.predictions["ETS_All"], baseline.predictions["ETS_All"])
+
+    def test_diverged_combiner_fails_alone(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "fit_global_ar", two_lag_sum_models)
+        ds = spiked_dataset()
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("ECW", "GDW", "Plain_All"), global_lags=3)
+        run = prequential_run(ds, cfg, capture_weights=True)
+        assert_matches_replay(run, ds, cfg)
+        for name in ("ECW", "GDW"):
+            (sid, message), = run.failures[name].items()
+            assert sid == "s1"
+            assert message.startswith("combiner diverged at t=") and message.endswith("rss_point requires finite inputs")
+            assert np.all(np.isnan(run.predictions[name][1]))
+            assert len(run.weight_traces[name]["s1"]) < cfg.horizon
+        assert run.failures["Plain_All"] == {}
+        # the other series of the batch come out as if run on their own
+        rest = Dataset(name="rest", series=tuple(s for s in ds.series if s.id != "s1"))
+        alone = prequential_run(rest, cfg)
+        for name in run.methods:
+            assert np.array_equal(np.delete(run.predictions[name], 1, axis=0), alone.predictions[name]), name
+
+    def test_true_gradient_divergence_is_silent(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "fit_global_ar", two_lag_sum_models)
+        ds = spiked_dataset()
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("GDW", true_gradient=True), global_lags=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = prequential_run(ds, cfg)
+        assert run.failures["GDW"] == {}
+        assert not np.all(np.isfinite(run.predictions["GDW"][1]))
+        assert np.all(np.isfinite(np.delete(run.predictions["GDW"], 1, axis=0)))
+        with np.errstate(over="ignore"):
+            assert build_report(run).failure_counts["GDW"] == 1
+        assert_matches_replay(run, ds, cfg)
+
+    @pytest.mark.parametrize("literal_value_scaling", [False, True])
+    def test_exponential_weights_underflow_on_long_series(self, literal_value_scaling):
+        # 0.9**n underflows to zero past n of about 7,070
+        ds = tiny_dataset(n_series=3, length=7200, train_len=7180)
+        cfg = EvalConfig(
+            horizon=20, block_size=10, methods=specs("EXP_All", "ECW"), literal_value_scaling=literal_value_scaling
+        )
+        run = prequential_run(ds, cfg)
+        assert run.failures == {"EXP_All": {}, "ECW": {}}
+        for name in run.methods:
+            assert np.all(np.isfinite(run.predictions[name]))
 
 
 class TestEvalConfig:

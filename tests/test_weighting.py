@@ -69,6 +69,14 @@ class TestProperties:
             assert np.all(w <= (1.0 if method == "none" else 0.9) + 1e-15)
             assert np.all(np.diff(w) >= 0)
 
+    def test_exponential_underflow_gives_exact_zeros(self):
+        # 0.9**n underflows past n of about 7,070
+        w = weight_schedule(WeightingScheme(method="exponential", alpha0=0.9), 7100)
+        assert w[-1] == 0.9
+        assert w[0] == 0.0
+        assert np.all(np.diff(w) >= 0)
+        assert np.count_nonzero(w) > 7000
+
     def test_linear_oldest_weight(self):
         n = 1650
         w = weight_schedule(WeightingScheme(method="linear", alpha0=0.9, beta=0.9), n)
