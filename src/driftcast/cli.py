@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +49,13 @@ from driftcast.evaluate import (
     MethodSpec,
     RunResult,
     build_report,
+    default_method_specs,
     drift_sensitivity,
     load_traces,
     method_group,
     prequential_run,
+    report_order,
     write_traces,
-    METHOD_ORDER,
 )
 from driftcast.simulate import SIM_DRIFT_KINDS, SimConfig, make_dataset
 from driftcast.stats import TestResult, format_p, run_rank_tests
@@ -128,11 +129,11 @@ def preset_config(name: str) -> dict:
     else:
         raise ConfigError(f"unknown preset {name!r}")
     methods = []
-    for n in METHOD_ORDER:
-        if n == "GDW":
-            methods.append({"name": n, "eta": 0.01, "true_gradient": True, "clamp": False})
+    for spec in default_method_specs():
+        if spec.name == "GDW":
+            methods.append({"name": spec.name, "eta": 0.01, "true_gradient": True, "clamp": False})
         else:
-            methods.append({"name": n})
+            methods.append({"name": spec.name})
     return {
         "simulate": {kind: dict(sim) for kind in SIM_DRIFT_KINDS},
         "methods": methods,
@@ -208,10 +209,7 @@ def validate_config(document: dict) -> RunConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"simulate.{kind} must be an object")
         _check_keys(section, _SIM_KEYS, f"simulate.{kind}")
-        params = dict(section)
-        if "ar_coeffs" in params:
-            params["ar_coeffs"] = tuple(params["ar_coeffs"])
-        sim_configs[kind] = SimConfig(drift_kind=kind, **params)
+        sim_configs[kind] = SimConfig(drift_kind=kind, **section)
 
     methods_section = document.get("methods")
     if not isinstance(methods_section, list) or not methods_section:
@@ -335,19 +333,7 @@ def _load_or_simulate(cfg: RunConfig, out_dir: Path) -> dict:
                 continue
         stale[kind] = sim
     if stale:
-        partial = cmd_simulate(
-            RunConfig(
-                sim_configs=stale,
-                eval_config=cfg.eval_config,
-                alpha=cfg.alpha,
-                out_dir=cfg.out_dir,
-                formats=cfg.formats,
-                weight_traces=cfg.weight_traces,
-                document=cfg.document,
-            ),
-            out_dir,
-        )
-        datasets.update(partial)
+        datasets.update(cmd_simulate(replace(cfg, sim_configs=stale), out_dir))
     if not datasets:
         raise ConfigError("no datasets available: add a simulate section or dataset files")
     return {kind: datasets[kind] for kind in cfg.sim_configs if kind in datasets}
@@ -368,7 +354,7 @@ class KindResults:
     stats_note: str | None
 
 
-def cmd_run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
+def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
     """Full campaign: simulate or load datasets, evaluate every method,
     write traces, reports, and the manifest. Returns per-kind results
     keyed by drift kind."""
@@ -379,7 +365,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
 
     results: dict[str, KindResults] = {}
     for kind, dataset in datasets.items():
-        run = prequential_run(dataset, cfg.eval_config, n_workers=threads, capture_weights=cfg.weight_traces)
+        run = prequential_run(dataset, cfg.eval_config, capture_weights=cfg.weight_traces)
         report = build_report(run)
         test, note = _rank_tests_or_note(report, cfg.alpha)
         results[kind] = KindResults(dataset=dataset, run=run, report=report, test=test, stats_note=note)
@@ -440,16 +426,10 @@ def _rank_tests_or_note(report: EvalReport, alpha: float) -> tuple[TestResult | 
 # report rendering
 
 
-def _ordered_methods(methods) -> list:
-    known = [m for m in METHOD_ORDER if m in methods]
-    extras = [m for m in methods if m not in METHOD_ORDER]
-    return known + extras
-
-
 def accuracy_rows(report: EvalReport) -> list[dict]:
     """Table-style accuracy rows with per-group and overall best flags
     (on mean RMSE)."""
-    ordered = _ordered_methods(report.methods)
+    ordered = report_order(report.methods)
     rows = []
     best_by_group: dict[str, str] = {}
     best_overall = None
@@ -492,11 +472,8 @@ def stats_rows(test: TestResult) -> list[dict]:
             "significantly_worse": False,
         }
     ]
-    order = sorted(
-        test.adjusted_p,
-        key=lambda name: (test.adjusted_p[name], METHOD_ORDER.index(name) if name in METHOD_ORDER else len(METHOD_ORDER)),
-    )
-    for name in order:
+    # a stable sort keeps report order among equal p-values
+    for name in sorted(report_order(test.adjusted_p), key=test.adjusted_p.get):
         rows.append(
             {
                 "method": name,
@@ -664,7 +641,7 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
                 table = drift_sensitivity(res.dataset, res.report, metric=metric)
                 if "csv" in cfg.formats:
                     path = reports_dir / f"sensitivity_{kind}_{metric}.csv"
-                    methods = _ordered_methods(table.methods)
+                    methods = report_order(table.methods)
                     header = ["bucket_low", "bucket_high", "n_series"] + list(methods)
                     rows_out = []
                     for bucket in range(len(table.counts)):
@@ -724,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate if needed, evaluate, report")
     add_common(p_run)
-    p_run.add_argument("--threads", type=int, default=1, help="worker processes over series (at most one per series and CPU)")
+    p_run.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect (campaigns run in one process)")
 
     p_rep = sub.add_parser("report", help="re-render reports from stored traces")
     add_common(p_rep)
@@ -745,7 +722,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {kind}: {len(dataset)} series x {dataset.series_length}")
             return 0
         if args.command == "run":
-            results = cmd_run(cfg, out_dir, threads=max(1, args.threads))
+            results = cmd_run(cfg, out_dir)
             for kind, res in results.items():
                 best = min(
                     (m for m in res.report.methods if not np.isnan(res.report.summary[m]["mean_rmse"])),
@@ -759,15 +736,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "report":
             if args.format:
-                cfg = RunConfig(
-                    sim_configs=cfg.sim_configs,
-                    eval_config=cfg.eval_config,
-                    alpha=cfg.alpha,
-                    out_dir=cfg.out_dir,
-                    formats=(args.format,),
-                    weight_traces=cfg.weight_traces,
-                    document=cfg.document,
-                )
+                cfg = replace(cfg, formats=(args.format,))
             written = cmd_report(cfg, out_dir)
             print(f"re-rendered {len(written)} report files under {out_dir}")
             return 0

@@ -9,7 +9,7 @@ adaptive combiners keep their weight state across block boundaries
 
 The pooled global models for all blocks are fitted up front (they
 depend only on the dataset and the config). A batch engine then
-advances a whole batch of series, held as an (n_series x length)
+advances every series of the dataset, held as one (n_series x length)
 array, through the horizon with numpy operations across the batch:
 
 * AR forecasts, global and local, are one array operation per lag for
@@ -25,23 +25,25 @@ Every operation is elementwise across series: no sum, product or
 choice ever mixes two series, and each series' values pass through
 the same IEEE operations in the same order as in the scalar functions
 of :mod:`driftcast.learners` and :mod:`driftcast.combine` (the test
-oracles). Results therefore do not depend on how series are grouped
-into batches, so worker processes can each take a shard of the series
-and the outputs stay identical for any worker count.
+oracles). The engine's results therefore do not depend on how series
+are grouped into batches or ordered within one; only the pooled fits,
+which sum over series in dataset order, see that order.
+
+Every method is one record of ``METHODS``, in report order; its
+family drives the fits and the engine's dispatch, and its group the
+reports.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from driftcast.combine import NON_FINITE_RSS
+from driftcast.combine import DEFAULT_PAIRINGS, NON_FINITE_RSS
 from driftcast.core import ConfigError, Dataset, FitError, format_float
 from driftcast.learners import (
     DEFAULT_GLOBAL_LAGS,
@@ -56,55 +58,64 @@ from driftcast.learners import (
 )
 from driftcast.weighting import WeightingScheme
 
-# method name -> (lag order or None for ets, window)
-LOCAL_SPECS = {
-    "AR3_200": (3, WINDOW_LAST_200),
-    "AR3_All": (3, WINDOW_ALL),
-    "AR5_200": (5, WINDOW_LAST_200),
-    "AR5_All": (5, WINDOW_ALL),
-    "ETS_200": (None, WINDOW_LAST_200),
-    "ETS_All": (None, WINDOW_ALL),
+
+@dataclass(frozen=True)
+class MethodRecord:
+    """What a method is: its ``family`` (``local_ar``, ``ets``,
+    ``global_ar``, ``ecw``, ``gdw`` or ``oracle``), its report ``group``,
+    and the fields its family needs: ``lags`` and ``window`` for local
+    AR, ``window`` for ETS, ``weighting`` and ``window`` for global
+    models."""
+
+    family: str
+    group: str
+    lags: Optional[int] = None
+    window: Optional[str] = None
+    weighting: Optional[str] = None
+
+
+# the method matrix, in report order; Oracle cheats by reading the next
+# actual and only serves harness sanity checks
+METHODS = {
+    "AR3_200": MethodRecord("local_ar", "statistical", lags=3, window=WINDOW_LAST_200),
+    "AR3_All": MethodRecord("local_ar", "statistical", lags=3, window=WINDOW_ALL),
+    "AR5_200": MethodRecord("local_ar", "statistical", lags=5, window=WINDOW_LAST_200),
+    "AR5_All": MethodRecord("local_ar", "statistical", lags=5, window=WINDOW_ALL),
+    "ETS_200": MethodRecord("ets", "statistical", window=WINDOW_LAST_200),
+    "ETS_All": MethodRecord("ets", "statistical", window=WINDOW_ALL),
+    "EXP_200": MethodRecord("global_ar", "gfm", window=WINDOW_LAST_200, weighting="exponential"),
+    "EXP_All": MethodRecord("global_ar", "gfm", window=WINDOW_ALL, weighting="exponential"),
+    "Linear_200": MethodRecord("global_ar", "gfm", window=WINDOW_LAST_200, weighting="linear"),
+    "Linear_All": MethodRecord("global_ar", "gfm", window=WINDOW_ALL, weighting="linear"),
+    "Plain_200": MethodRecord("global_ar", "gfm", window=WINDOW_LAST_200, weighting="none"),
+    "Plain_All": MethodRecord("global_ar", "gfm", window=WINDOW_ALL, weighting="none"),
+    "GDW": MethodRecord("gdw", "proposed"),
+    "ECW": MethodRecord("ecw", "proposed"),
+    "Oracle": MethodRecord("oracle", "diagnostic"),
 }
 
-# method name -> (weighting method, window)
-GLOBAL_SPECS = {
-    "Plain_200": ("none", WINDOW_LAST_200),
-    "Plain_All": ("none", WINDOW_ALL),
-    "EXP_200": ("exponential", WINDOW_LAST_200),
-    "EXP_All": ("exponential", WINDOW_ALL),
-    "Linear_200": ("linear", WINDOW_LAST_200),
-    "Linear_All": ("linear", WINDOW_ALL),
-}
 
-COMBINER_RULES = {"ECW": "ecw", "GDW": "gdw"}
+def _global_model(weighting: str, window: str) -> str:
+    (name,) = [n for n, r in METHODS.items() if (r.family, r.weighting, r.window) == ("global_ar", weighting, window)]
+    return name
 
-# pairing -> (partial sub-model, all sub-model)
-PAIRING_SOURCES = {
-    ("exponential", "exponential"): ("EXP_200", "EXP_All"),
-    ("exponential", "linear"): ("EXP_200", "Linear_All"),
-    ("linear", "exponential"): ("Linear_200", "EXP_All"),
-    ("linear", "linear"): ("Linear_200", "Linear_All"),
-}
 
-# cheats by reading the next actual; only for harness sanity checks
-ORACLE_METHOD = "Oracle"
-
-METHOD_GROUPS = {
-    "statistical": ("AR3_200", "AR3_All", "AR5_200", "AR5_All", "ETS_200", "ETS_All"),
-    "gfm": ("EXP_200", "EXP_All", "Linear_200", "Linear_All", "Plain_200", "Plain_All"),
-    "proposed": ("GDW", "ECW"),
-}
-
-METHOD_ORDER = METHOD_GROUPS["statistical"] + METHOD_GROUPS["gfm"] + METHOD_GROUPS["proposed"]
-
-KNOWN_METHODS = set(LOCAL_SPECS) | set(GLOBAL_SPECS) | set(COMBINER_RULES) | {ORACLE_METHOD}
+# (partial, full) sub-model names of each pairing of DEFAULT_PAIRINGS
+PAIRING_SUBMODELS = tuple(
+    (_global_model(partial, WINDOW_LAST_200), _global_model(full, WINDOW_ALL)) for partial, full in DEFAULT_PAIRINGS
+)
 
 
 def method_group(name: str) -> str:
-    for group, members in METHOD_GROUPS.items():
-        if name in members:
-            return group
-    return "diagnostic"
+    """Report group of a method; names outside the table (from a
+    hand-made trace file) are diagnostic."""
+    return METHODS[name].group if name in METHODS else "diagnostic"
+
+
+def report_order(names) -> list:
+    """``names`` in table order, followed by names outside the table in
+    their given order."""
+    return [m for m in METHODS if m in names] + [m for m in names if m not in METHODS]
 
 
 @dataclass(frozen=True)
@@ -117,15 +128,16 @@ class MethodSpec:
     clamp: bool = False
 
     def __post_init__(self) -> None:
-        if self.name not in KNOWN_METHODS:
+        if self.name not in METHODS:
             raise ConfigError(f"unknown method {self.name!r}")
         if self.eta <= 0:
             raise ConfigError("eta must be positive")
 
 
 def default_method_specs() -> tuple:
-    """The full benchmark matrix in report order."""
-    return tuple(MethodSpec(name=name) for name in METHOD_ORDER)
+    """The full benchmark matrix (every non-diagnostic method) in report
+    order."""
+    return tuple(MethodSpec(name=name) for name, r in METHODS.items() if r.group != "diagnostic")
 
 
 @dataclass(frozen=True)
@@ -178,41 +190,27 @@ class RunResult:
     weight_traces: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class _HarnessContext:
-    """Picklable bundle shipped to the batch workers."""
-
-    train_len: int
-    horizon: int
-    block_size: int
-    methods: tuple
-    global_models: tuple
-    global_failures: tuple
-    capture_weights: bool = False
-
-
 def needed_global_models(methods: Sequence[MethodSpec]) -> tuple:
     """Global fits required by the configured methods (baselines plus
     the four weighted sub-models when a combiner is present)."""
     names = set()
     for m in methods:
-        if m.name in GLOBAL_SPECS:
+        family = METHODS[m.name].family
+        if family == "global_ar":
             names.add(m.name)
-        elif m.name in COMBINER_RULES:
-            for partial, full in PAIRING_SOURCES.values():
-                names.add(partial)
-                names.add(full)
+        elif family in ("ecw", "gdw"):
+            names.update(sub for pair in PAIRING_SUBMODELS for sub in pair)
     return tuple(sorted(names))
 
 
 def _global_learner_spec(name: str, cfg: EvalConfig) -> LearnerSpec:
-    weighting_method, window = GLOBAL_SPECS[name]
+    record = METHODS[name]
     return LearnerSpec(
         family="global_ar",
         p=cfg.global_lags,
-        window=window,
+        window=record.window,
         weighting=WeightingScheme(
-            method=weighting_method,
+            method=record.weighting,
             alpha0=cfg.alpha0,
             beta=cfg.beta,
             literal_value_scaling=cfg.literal_value_scaling,
@@ -270,14 +268,15 @@ def _ets_forecasts(V: np.ndarray, start: int, stop: int, level: np.ndarray, alph
 
 class _CombinerBank:
     """ECW or GDW state of every series in a batch: one row per series,
-    one column per pairing of ``PAIRING_SOURCES``. Each step applies
+    one column per pairing of ``DEFAULT_PAIRINGS``. Each step applies
     ``ecw_step``/``gdw_step``'s formulas elementwise, and the pairings
     are averaged as ``PairingEnsemble.step`` does."""
 
     def __init__(self, spec: MethodSpec, n: int) -> None:
         self.spec = spec
-        self.w_p = np.full((n, len(PAIRING_SOURCES)), 0.5)
-        self.w_a = np.full((n, len(PAIRING_SOURCES)), 0.5)
+        self.rule = METHODS[spec.name].family
+        self.w_p = np.full((n, len(DEFAULT_PAIRINGS)), 0.5)
+        self.w_a = np.full((n, len(DEFAULT_PAIRINGS)), 0.5)
         self.y_partial = self.y_all = self.pred = None
 
     def step(self, y_partial: np.ndarray, y_all: np.ndarray, prev_actual: np.ndarray) -> tuple:
@@ -291,7 +290,7 @@ class _CombinerBank:
             pred = y_all
         else:
             actual = prev_actual[:, None]
-            if COMBINER_RULES[spec.name] == "ecw":
+            if self.rule == "ecw":
                 diverged = ~np.all(np.isfinite(self.y_partial) & np.isfinite(self.y_all), axis=1)
                 r_p = actual - self.y_partial
                 r_a = actual - self.y_all
@@ -334,21 +333,27 @@ class _CombinerBank:
         return np.stack([self.y_partial, self.y_all, self.w_p, self.w_a, self.pred], axis=-1)
 
 
-def _evaluate_batch(values: np.ndarray, ctx: _HarnessContext) -> dict:
+def _evaluate_batch(
+    values: np.ndarray, train_len: int, cfg: EvalConfig, global_fits: list, capture_weights: bool
+) -> tuple:
     """Run every configured method over the horizon of each row of
-    ``values`` (one series per row), advancing all rows together."""
+    ``values`` (one series per row), advancing all rows together.
+    ``global_fits`` holds each block's pooled models and fit failures.
+    Returns predictions and fit counts per method, failure messages per
+    method keyed by row, and, with ``capture_weights``, each combiner's
+    weight rows per series."""
     n = values.shape[0]
-    horizon, block_size, train_len = ctx.horizon, ctx.block_size, ctx.train_len
+    horizon, block_size = cfg.horizon, cfg.block_size
     V = np.ascontiguousarray(values.T)  # V[t]: every series' value at position t
-    names = [m.name for m in ctx.methods]
+    names = [m.name for m in cfg.methods]
     preds = {name: np.full((n, horizon), np.nan) for name in names}
     fit_counts = {name: np.zeros(n, dtype=int) for name in names}
     failed: dict = {name: {} for name in names}
     ok = {name: np.ones(n, dtype=bool) for name in names}
-    banks = {m.name: _CombinerBank(m, n) for m in ctx.methods if m.name in COMBINER_RULES}
+    banks = {m.name: _CombinerBank(m, n) for m in cfg.methods if METHODS[m.name].family in ("ecw", "gdw")}
     ets_grids: dict = {}
-    if ctx.capture_weights:
-        weight_rows = {name: np.empty((horizon, n, len(PAIRING_SOURCES), 5)) for name in banks}
+    if capture_weights:
+        weight_rows = {name: np.empty((horizon, n, len(DEFAULT_PAIRINGS), 5)) for name in banks}
         weight_steps = {name: np.zeros(n, dtype=int) for name in banks}
 
     def fail(name: str, rows, message: str) -> None:
@@ -362,65 +367,62 @@ def _evaluate_batch(values: np.ndarray, ctx: _HarnessContext) -> dict:
     # diverging data overflows by design: it surfaces as non-finite
     # forecasts (failures in build_report) or a diverged combiner
     with np.errstate(all="ignore"):
-        for b in range(horizon // block_size):
+        for b, (global_models, global_failures) in enumerate(global_fits):
             start, stop = train_len + b * block_size, train_len + (b + 1) * block_size
             block_globals = {
                 g: _ar_forecasts(V, start, stop, model.coef, model.intercept)
-                for g, model in ctx.global_models[b].items()
+                for g, model in global_models.items()
             }
-            block_global_failures = ctx.global_failures[b]
-            for m in ctx.methods:
+            for m in cfg.methods:
                 name = m.name
                 if not ok[name].any():
                     continue
-                if name in LOCAL_SPECS:
-                    p, window = LOCAL_SPECS[name]
-                    if p is None:
-                        try:
-                            first = start - ets_window(window, start)
-                        except FitError as exc:
-                            fail(name, True, str(exc))
-                            continue
-                        grid = ets_grids.get(name)
-                        if grid is None or grid.first != first:
-                            grid = ets_grids[name] = _EtsGrid(V, first)
-                        forecasts = _ets_forecasts(V, start, stop, *grid.fit(V, start))
-                    else:
-                        coef, intercept = np.zeros((n, p)), np.zeros(n)
-                        for i in np.flatnonzero(ok[name]):
-                            try:
-                                model = fit_local_ar(values[i, :start], p, window)
-                            except FitError as exc:
-                                fail(name, i == np.arange(n), str(exc))
-                                continue
-                            coef[i], intercept[i] = model.coef, model.intercept
-                        if not ok[name].any():  # the history may not even hold p lags
-                            continue
-                        forecasts = _ar_forecasts(V, start, stop, coef, intercept)
+                record = METHODS[name]
+                if record.family == "ets":
+                    try:
+                        first = start - ets_window(record.window, start)
+                    except FitError as exc:
+                        fail(name, True, str(exc))
+                        continue
+                    grid = ets_grids.get(name)
+                    if grid is None or grid.first != first:
+                        grid = ets_grids[name] = _EtsGrid(V, first)
                     fit_counts[name][ok[name]] += 1
-                elif name in GLOBAL_SPECS:
-                    if name in block_global_failures:
-                        fail(name, True, block_global_failures[name])
+                    forecasts = _ets_forecasts(V, start, stop, *grid.fit(V, start))
+                elif record.family == "local_ar":
+                    coef, intercept = np.zeros((n, record.lags)), np.zeros(n)
+                    for i in np.flatnonzero(ok[name]):
+                        try:
+                            model = fit_local_ar(values[i, :start], record.lags, record.window)
+                        except FitError as exc:
+                            fail(name, i == np.arange(n), str(exc))
+                            continue
+                        coef[i], intercept[i] = model.coef, model.intercept
+                    if not ok[name].any():  # the history may not even hold p lags
+                        continue
+                    fit_counts[name][ok[name]] += 1
+                    forecasts = _ar_forecasts(V, start, stop, coef, intercept)
+                elif record.family == "global_ar":
+                    if name in global_failures:
+                        fail(name, True, global_failures[name])
                         continue
                     fit_counts[name][ok[name]] += 1
                     forecasts = block_globals[name]
-                elif name in COMBINER_RULES:
-                    broken = sorted(
-                        {sub for pair in PAIRING_SOURCES.values() for sub in pair if sub in block_global_failures}
-                    )
+                elif record.family in ("ecw", "gdw"):
+                    broken = sorted({sub for pair in PAIRING_SUBMODELS for sub in pair if sub in global_failures})
                     if broken:
                         fail(name, True, f"sub-model fit failed: {broken}")
                         continue
                     fit_counts[name][ok[name]] += 1
-                    y_partial = np.stack([block_globals[partial] for partial, _ in PAIRING_SOURCES.values()], axis=-1)
-                    y_all = np.stack([block_globals[full] for _, full in PAIRING_SOURCES.values()], axis=-1)
+                    y_partial = np.stack([block_globals[partial] for partial, _ in PAIRING_SUBMODELS], axis=-1)
+                    y_all = np.stack([block_globals[full] for _, full in PAIRING_SUBMODELS], axis=-1)
                     forecasts = np.empty((block_size, n))
                     for k in range(block_size):
                         t = start + k
                         forecasts[k], bad = banks[name].step(y_partial[k], y_all[k], V[t - 1])
                         preds[name][bad & ok[name]] = np.nan  # a diverged combiner keeps no forecasts
                         fail(name, bad, f"combiner diverged at t={t + 1}: {NON_FINITE_RSS}")
-                        if ctx.capture_weights:
+                        if capture_weights:
                             weight_rows[name][t - train_len] = banks[name].weight_row()
                             weight_steps[name][ok[name]] += 1
                 else:  # the oracle reads the actual; it needs no fit
@@ -429,38 +431,25 @@ def _evaluate_batch(values: np.ndarray, ctx: _HarnessContext) -> dict:
                 preds[name][:, start - train_len : stop - train_len] = np.where(ok[name], forecasts, np.nan).T
 
     weights = None
-    if ctx.capture_weights:
-        pairings = tuple(PAIRING_SOURCES)
+    if capture_weights:
         weights = {
             name: [
                 [
-                    (train_len + pos + 1, float(V[train_len + pos, i]), dict(zip(pairings, map(tuple, table[pos, i].tolist()))))
+                    (train_len + pos + 1, float(V[train_len + pos, i]), dict(zip(DEFAULT_PAIRINGS, map(tuple, table[pos, i].tolist()))))
                     for pos in range(weight_steps[name][i])
                 ]
                 for i in range(n)
             ]
             for name, table in weight_rows.items()
         }
-    return {
-        "preds": preds,
-        "fit_counts": fit_counts,
-        "failed": failed,
-        "weights": weights,
-    }
+    return preds, fit_counts, failed, weights
 
 
-def prequential_run(
-    dataset: Dataset,
-    cfg: EvalConfig,
-    n_workers: int = 1,
-    capture_weights: bool = False,
-) -> RunResult:
-    """Run the full campaign over one dataset.
+def prequential_run(dataset: Dataset, cfg: EvalConfig, capture_weights: bool = False) -> RunResult:
+    """Run the full campaign over one dataset, all series in one batch.
 
-    Results are independent of ``n_workers``, which is capped at the
-    number of series and of CPUs; each worker takes one contiguous shard
-    of the series. Any fit failure marks the (series, method) pair as
-    failed and is surfaced in the result rather than silently skipped.
+    Any fit failure marks the (series, method) pair as failed and is
+    surfaced in the result rather than silently skipped.
     ``capture_weights`` additionally records the combiners' per-step
     weight trajectories.
     """
@@ -470,8 +459,7 @@ def prequential_run(
             f"{dataset.train_len} plus horizon {cfg.horizon}"
         )
     needed = needed_global_models(cfg.methods)
-    global_models = []
-    global_failures = []
+    global_fits = []
     for b in range(cfg.n_blocks):
         fit_through = dataset.train_len + b * cfg.block_size
         models: dict[str, object] = {}
@@ -481,56 +469,25 @@ def prequential_run(
                 models[name] = fit_global_ar(dataset, fit_through, _global_learner_spec(name, cfg))
             except FitError as exc:
                 failures[name] = str(exc)
-        global_models.append(models)
-        global_failures.append(failures)
+        global_fits.append((models, failures))
 
-    ctx = _HarnessContext(
-        train_len=dataset.train_len,
-        horizon=cfg.horizon,
-        block_size=cfg.block_size,
-        methods=cfg.methods,
-        global_models=tuple(global_models),
-        global_failures=tuple(global_failures),
-        capture_weights=capture_weights,
-    )
     values = dataset.values_matrix()
-    n = len(dataset)
-    n_workers = min(n_workers, n, os.cpu_count() or 1)
-    shards = np.array_split(np.arange(n), n_workers)
-    if n_workers <= 1:
-        results = [_evaluate_batch(values, ctx)]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_evaluate_batch, [values[rows] for rows in shards], [ctx] * n_workers))
-
-    method_names = tuple(m.name for m in cfg.methods)
+    predictions, fit_counts, failed, weights = _evaluate_batch(
+        values, dataset.train_len, cfg, global_fits, capture_weights
+    )
     series_ids = tuple(s.id for s in dataset.series)
-    predictions = {name: np.concatenate([r["preds"][name] for r in results]) for name in method_names}
-    fit_counts = {name: np.concatenate([r["fit_counts"][name] for r in results]) for name in method_names}
-    failures: dict[str, dict] = {name: {} for name in method_names}
-    for r, rows in zip(results, shards):
-        for name, failed in r["failed"].items():
-            for row, message in sorted(failed.items()):
-                failures[name][series_ids[rows[row]]] = message
-    weight_traces = None
-    if capture_weights:
-        weight_traces = {
-            name: dict(zip(series_ids, (rows for r in results for rows in r["weights"][name])))
-            for name in method_names
-            if name in COMBINER_RULES
-        }
     return RunResult(
         dataset_name=dataset.name,
         series_ids=series_ids,
-        methods=method_names,
+        methods=tuple(m.name for m in cfg.methods),
         train_len=dataset.train_len,
         horizon=cfg.horizon,
         block_size=cfg.block_size,
         actuals=values[:, dataset.train_len : dataset.train_len + cfg.horizon].copy(),
         predictions=predictions,
         fit_counts=fit_counts,
-        failures=failures,
-        weight_traces=weight_traces,
+        failures={name: {series_ids[i]: msg for i, msg in sorted(rows.items())} for name, rows in failed.items()},
+        weight_traces=None if weights is None else {name: dict(zip(series_ids, rows)) for name, rows in weights.items()},
     )
 
 
@@ -636,6 +593,14 @@ class SensitivityTable:
     methods: tuple
 
 
+def _per_series(report: EvalReport, metric: str) -> dict:
+    if metric == "rmse":
+        return report.rmse_per_series
+    if metric == "mae":
+        return report.mae_per_series
+    raise ConfigError(f"metric must be 'rmse' or 'mae', got {metric!r}")
+
+
 def _drift_parameter(dataset: Dataset) -> tuple[str, np.ndarray]:
     kinds = {s.drift.kind for s in dataset.series}
     if kinds == {"sudden"}:
@@ -650,10 +615,8 @@ def _drift_parameter(dataset: Dataset) -> tuple[str, np.ndarray]:
 def drift_sensitivity(dataset: Dataset, report: EvalReport, metric: str = "rmse", n_buckets: int = 10) -> SensitivityTable:
     """Bucket series by drift point (sudden) or drift length
     (incremental) and average the chosen metric per bucket."""
+    per_series = _per_series(report, metric)
     parameter, values = _drift_parameter(dataset)
-    per_series = report.rmse_per_series if metric == "rmse" else report.mae_per_series
-    if metric not in ("rmse", "mae"):
-        raise ConfigError("metric must be 'rmse' or 'mae'")
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         edges = np.array([lo, hi])
@@ -686,10 +649,10 @@ def drift_sensitivity(dataset: Dataset, report: EvalReport, metric: str = "rmse"
 def drift_region_split(dataset: Dataset, report: EvalReport, metric: str = "rmse") -> dict:
     """Per-method mean metric for series whose sudden drift lands in
     the test region vs the first half of training, plus the excess."""
+    per_series = _per_series(report, metric)
     parameter, values = _drift_parameter(dataset)
     if parameter != "t_drift":
         raise ConfigError("drift-region split needs a sudden-drift dataset")
-    per_series = report.rmse_per_series if metric == "rmse" else report.mae_per_series
     train_len = dataset.train_len
     early = values <= train_len / 2.0
     test = values > train_len

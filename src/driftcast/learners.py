@@ -105,24 +105,6 @@ def _lag_rows(values: np.ndarray, p: int, first_target: int, last_target: int):
     return X, y
 
 
-def _solve_weighted_ridge(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
-    """Minimize sum_i w_i (y_i - b.x_i - c)^2 + lam*|b|^2, intercept c
-    unpenalized. Returns [b..., c]."""
-    n, p = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
-    wX = Xa * w[:, None]
-    A = Xa.T @ wX
-    b = wX.T @ y
-    A[np.arange(p), np.arange(p)] += lam
-    try:
-        beta = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(f"singular weighted system: {exc}") from exc
-    if not np.all(np.isfinite(beta)):
-        raise FitError("weighted solve produced non-finite coefficients")
-    return beta
-
-
 def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> ForecastModel:
     """Pooled weighted autoregressive ridge fit across all series.
 

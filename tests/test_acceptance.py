@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from driftcast.cli import cmd_run, preset_config, validate_config
+from driftcast.cli import SEED_ENV_VAR, cmd_run, main, preset_config, validate_config
 from driftcast.combine import CombinerState, ecw_step, gdw_step
 from driftcast.core import Dataset, TimeSeries
 from driftcast.evaluate import (
@@ -42,7 +42,7 @@ def desk(tmp_path_factory):
     """One full desk-preset campaign (single-threaded)."""
     cfg = validate_config(preset_config("desk"))
     out = tmp_path_factory.mktemp("desk_run")
-    results = cmd_run(cfg, out, threads=1)
+    results = cmd_run(cfg, out)
     return cfg, out, results
 
 
@@ -277,10 +277,11 @@ def test_criterion_8_drift_sensitivity_shape(desk):
     assert verdict(8, ok, "excess shape reproduced" if ok else "; ".join(problems)), problems
 
 
-def test_criterion_9_thread_determinism(desk, tmp_path_factory):
-    cfg, out1, _ = desk
+def test_criterion_9_thread_determinism(desk, tmp_path_factory, monkeypatch):
+    _, out1, _ = desk
     out2 = tmp_path_factory.mktemp("desk_run_mt")
-    cmd_run(cfg, out2, threads=8)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(["run", "--preset", "desk", "--out", str(out2), "--threads", "8"]) == 0
     mismatches = []
     for sub in ("reports", "traces"):
         for path in sorted((out1 / sub).glob("*")):

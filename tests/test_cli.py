@@ -134,7 +134,7 @@ class TestRunCommand:
     def test_full_pipeline_outputs(self, tmp_path):
         cfg = validate_config(tiny_document())
         out = tmp_path / "run"
-        results = cmd_run(cfg, out, threads=1)
+        results = cmd_run(cfg, out)
         assert set(results) == {"sudden", "gradual"}
         for kind in results:
             assert (out / "traces" / f"{kind}.csv").exists()
@@ -150,8 +150,8 @@ class TestRunCommand:
     def test_rerun_reuses_datasets_and_reproduces_reports(self, tmp_path):
         cfg = validate_config(tiny_document())
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        cmd_run(cfg, out1, threads=1)
-        cmd_run(cfg, out2, threads=1)
+        cmd_run(cfg, out1)
+        cmd_run(cfg, out2)
         for rel in ("traces/sudden.csv", "reports/accuracy_sudden.csv", "reports/stats_sudden.csv"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
@@ -160,7 +160,7 @@ class TestRunCommand:
         doc["methods"] = [{"name": "Plain_All"}]
         cfg = validate_config(doc)
         out = tmp_path / "run"
-        results = cmd_run(cfg, out, threads=1)
+        results = cmd_run(cfg, out)
         assert all(r.test is None for r in results.values())
         text = (out / "reports" / "stats_sudden.csv").read_text()
         assert "skipped" in text
@@ -168,7 +168,7 @@ class TestRunCommand:
     def test_report_rerender_matches(self, tmp_path):
         cfg = validate_config(tiny_document())
         out = tmp_path / "run"
-        cmd_run(cfg, out, threads=1)
+        cmd_run(cfg, out)
         before = (out / "reports" / "accuracy_sudden.csv").read_bytes()
         (out / "reports" / "accuracy_sudden.csv").unlink()
         cmd_report(cfg, out)
@@ -186,7 +186,7 @@ class TestRunCommand:
         ]
         cfg = validate_config(doc)
         out = tmp_path / "run"
-        cmd_run(cfg, out, threads=1)
+        cmd_run(cfg, out)
         lines = (out / "reports" / "accuracy_sudden.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert header == [
@@ -211,7 +211,7 @@ class TestRunCommand:
     def test_sensitivity_report_partitions(self, tmp_path):
         cfg = validate_config(tiny_document())
         out = tmp_path / "run"
-        cmd_run(cfg, out, threads=1)
+        cmd_run(cfg, out)
         lines = (out / "reports" / "sensitivity_sudden_rmse.csv").read_text().splitlines()
         assert lines[0].startswith("bucket_low,bucket_high,n_series,")
         counts = [int(line.split(",")[2]) for line in lines[1:]]
@@ -221,7 +221,7 @@ class TestRunCommand:
         doc = tiny_document(output={"weight_traces": True})
         cfg = validate_config(doc)
         out = tmp_path / "run"
-        cmd_run(cfg, out, threads=1)
+        cmd_run(cfg, out)
         files = sorted((out / "traces").glob("weights_GDW_*_sudden.csv"))
         assert len(files) == 4
         header = files[0].read_text().splitlines()[0]

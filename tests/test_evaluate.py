@@ -1,18 +1,14 @@
-import os
 import warnings
 
 import numpy as np
 import pytest
 
 from driftcast import evaluate
-from driftcast.combine import PairingEnsemble
+from driftcast.combine import DEFAULT_PAIRINGS, PairingEnsemble
 from driftcast.core import ConfigError, Dataset, DriftcastError, DriftMeta, FitError, TimeSeries
 from driftcast.evaluate import (
-    COMBINER_RULES,
-    GLOBAL_SPECS,
-    LOCAL_SPECS,
-    METHOD_ORDER,
-    PAIRING_SOURCES,
+    METHODS,
+    PAIRING_SUBMODELS,
     EvalConfig,
     MethodSpec,
     aggregate,
@@ -46,7 +42,9 @@ def specs(*names, **flags):
     return tuple(MethodSpec(name=n, **flags) for n in names)
 
 
-ALL_METHODS = METHOD_ORDER + ("Oracle",)
+ALL_METHODS = tuple(METHODS)
+
+COMBINERS = ("ecw", "gdw")
 
 
 def scalar_replay(dataset, cfg):
@@ -72,7 +70,9 @@ def scalar_replay(dataset, cfg):
     fit_counts = {name: np.array([r[1][name] for r in per_series]) for name in names}
     failures = {name: {s.id: r[2][name] for s, r in zip(dataset.series, per_series) if name in r[2]} for name in names}
     weights = {
-        name: {s.id: r[3][name] for s, r in zip(dataset.series, per_series)} for name in names if name in COMBINER_RULES
+        name: {s.id: r[3][name] for s, r in zip(dataset.series, per_series)}
+        for name in names
+        if METHODS[name].family in COMBINERS
     }
     return preds, fit_counts, failures, weights
 
@@ -84,9 +84,9 @@ def _replay_series(values, train_len, cfg, globals_by_block):
     failed = {}
     local_models = {}
     ensembles = {
-        m.name: PairingEnsemble(rule=COMBINER_RULES[m.name], eta=m.eta, true_gradient=m.true_gradient, clamp=m.clamp)
+        m.name: PairingEnsemble(rule=METHODS[m.name].family, eta=m.eta, true_gradient=m.true_gradient, clamp=m.clamp)
         for m in cfg.methods
-        if m.name in COMBINER_RULES
+        if METHODS[m.name].family in COMBINERS
     }
     log = {name: [] for name in ensembles}
     for b, (block_globals, block_failures) in enumerate(globals_by_block):
@@ -94,21 +94,21 @@ def _replay_series(values, train_len, cfg, globals_by_block):
         for name in names:
             if name in failed:
                 continue
-            if name in LOCAL_SPECS:
-                p, window = LOCAL_SPECS[name]
+            record = METHODS[name]
+            if record.family in ("local_ar", "ets"):
                 try:
-                    if p is None:
-                        local_models[name] = fit_ets(values[:fit_through], window)
+                    if record.family == "ets":
+                        local_models[name] = fit_ets(values[:fit_through], record.window)
                     else:
-                        local_models[name] = evaluate.fit_local_ar(values[:fit_through], p, window)
+                        local_models[name] = evaluate.fit_local_ar(values[:fit_through], record.lags, record.window)
                 except FitError as exc:
                     failed[name] = str(exc)
                     continue
-            elif name in GLOBAL_SPECS and name in block_failures:
+            elif record.family == "global_ar" and name in block_failures:
                 failed[name] = block_failures[name]
                 continue
-            elif name in COMBINER_RULES:
-                broken = sorted({sub for pair in PAIRING_SOURCES.values() for sub in pair if sub in block_failures})
+            elif record.family in COMBINERS:
+                broken = sorted({sub for pair in PAIRING_SUBMODELS for sub in pair if sub in block_failures})
                 if broken:
                     failed[name] = f"sub-model fit failed: {broken}"
                     continue
@@ -120,12 +120,13 @@ def _replay_series(values, train_len, cfg, globals_by_block):
             for name in names:
                 if name in failed:
                     continue
-                if name in LOCAL_SPECS:
+                family = METHODS[name].family
+                if family in ("local_ar", "ets"):
                     preds[name][t - train_len] = predict_one(local_models[name], history)
-                elif name in GLOBAL_SPECS:
+                elif family == "global_ar":
                     preds[name][t - train_len] = g[name]
-                elif name in COMBINER_RULES:
-                    sub = {pairing: (g[partial], g[full]) for pairing, (partial, full) in PAIRING_SOURCES.items()}
+                elif family in COMBINERS:
+                    sub = {pairing: (g[partial], g[full]) for pairing, (partial, full) in zip(DEFAULT_PAIRINGS, PAIRING_SUBMODELS)}
                     try:
                         preds[name][t - train_len] = ensembles[name].step(sub)
                     except DriftcastError as exc:
@@ -147,7 +148,7 @@ def _replay_series(values, train_len, cfg, globals_by_block):
 def weight_table(rows):
     """A weight trace as one array row per step: t, actual, then the
     five recorded values of each pairing in pairing order."""
-    assert all(list(row) == list(PAIRING_SOURCES) for _, _, row in rows)
+    assert all(list(row) == list(DEFAULT_PAIRINGS) for _, _, row in rows)
     return np.array([[t, actual] + [v for values in row.values() for v in values] for t, actual, row in rows])
 
 
@@ -270,55 +271,39 @@ class TestPrequentialRun:
             ), f"{name} corruption had no effect at all"
             assert np.array_equal(a, b), f"{name} leaked future information"
 
-    def test_parallel_matches_serial(self):
+    def test_series_reordering_invariance(self, monkeypatch):
         ds = tiny_dataset()
-        cfg = EvalConfig(horizon=30, block_size=10, methods=specs(*ALL_METHODS))
-        serial = prequential_run(ds, cfg, n_workers=1, capture_weights=True)
-        parallel = prequential_run(ds, cfg, n_workers=3, capture_weights=True)
-        for name in serial.methods:
-            assert np.array_equal(serial.predictions[name], parallel.predictions[name], equal_nan=True)
-            assert np.array_equal(serial.fit_counts[name], parallel.fit_counts[name])
-        assert serial.failures == parallel.failures
-        assert serial.weight_traces == parallel.weight_traces
-
-    @pytest.mark.parametrize("cpus, expected", [(64, 6), (2, 2), (None, 1)])
-    def test_worker_count_capped_by_series_and_cpus(self, monkeypatch, cpus, expected):
-        started = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                tasks = list(zip(*iterables))
-                started.append(len(tasks))
-                return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        ds = tiny_dataset(n_series=6)
-        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All", "ETS_All", "ECW"))
-        run = prequential_run(ds, cfg, n_workers=5000)
-        # one shard per worker; a single worker runs in process
-        assert started == ([expected, expected] if expected > 1 else [])
-        serial = prequential_run(ds, cfg)
-        for name in run.methods:
-            assert np.array_equal(run.predictions[name], serial.predictions[name])
-
-    def test_series_reordering_invariance(self):
-        ds = tiny_dataset()
-        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All", "Plain_All"))
-        rep1 = build_report(prequential_run(ds, cfg))
         reordered = Dataset(name=ds.name, series=tuple(reversed(ds.series)), generator_config=None)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs(*ALL_METHODS))
+        rep1 = build_report(prequential_run(ds, cfg))
         rep2 = build_report(prequential_run(reordered, cfg))
         for name in rep1.methods:
             assert rep1.summary[name]["mean_rmse"] == pytest.approx(rep2.summary[name]["mean_rmse"], rel=1e-12)
+
+        # the pooled fit sums series in dataset order, so its last bits
+        # depend on that order; pooled in id order, both runs share the
+        # same global models and every series must come out bit for bit
+        real_fit = evaluate.fit_global_ar
+
+        def fit_in_id_order(dataset, train_through, spec):
+            canonical = Dataset(name=dataset.name, series=tuple(sorted(dataset.series, key=lambda s: s.id)))
+            return real_fit(canonical, train_through, spec)
+
+        monkeypatch.setattr(evaluate, "fit_global_ar", fit_in_id_order)
+        run = prequential_run(ds, cfg, capture_weights=True)
+        rev = prequential_run(reordered, cfg, capture_weights=True)
+        assert rev.series_ids == run.series_ids[::-1]
+        for name in run.methods:
+            assert run.failures[name] == rev.failures[name], name
+            for i, sid in enumerate(run.series_ids):
+                j = len(run.series_ids) - 1 - i
+                assert np.array_equal(run.predictions[name][i], rev.predictions[name][j], equal_nan=True), (name, sid)
+                assert run.fit_counts[name][i] == rev.fit_counts[name][j], (name, sid)
+        assert set(run.weight_traces) == set(rev.weight_traces) == {"GDW", "ECW"}
+        for name, per_series in run.weight_traces.items():
+            for sid, rows in per_series.items():
+                other = weight_table(rev.weight_traces[name][sid])
+                assert np.array_equal(weight_table(rows), other, equal_nan=True), (name, sid)
 
     def test_fit_failure_reported_not_silent(self):
         ds = tiny_dataset(length=60, train_len=10)
@@ -453,6 +438,41 @@ class TestEvalConfig:
             EvalConfig(methods=specs("AR3_All", "AR3_All"))
 
 
+class TestMethodTable:
+    """The table as typed out independently of the engine and the
+    scalar replay, which both read it: it matches the README matrix."""
+
+    def test_records_in_report_order(self):
+        expected = [
+            # name, family, group, lags, window, weighting
+            ("AR3_200", "local_ar", "statistical", 3, "last_200", None),
+            ("AR3_All", "local_ar", "statistical", 3, "all", None),
+            ("AR5_200", "local_ar", "statistical", 5, "last_200", None),
+            ("AR5_All", "local_ar", "statistical", 5, "all", None),
+            ("ETS_200", "ets", "statistical", None, "last_200", None),
+            ("ETS_All", "ets", "statistical", None, "all", None),
+            ("EXP_200", "global_ar", "gfm", None, "last_200", "exponential"),
+            ("EXP_All", "global_ar", "gfm", None, "all", "exponential"),
+            ("Linear_200", "global_ar", "gfm", None, "last_200", "linear"),
+            ("Linear_All", "global_ar", "gfm", None, "all", "linear"),
+            ("Plain_200", "global_ar", "gfm", None, "last_200", "none"),
+            ("Plain_All", "global_ar", "gfm", None, "all", "none"),
+            ("GDW", "gdw", "proposed", None, None, None),
+            ("ECW", "ecw", "proposed", None, None, None),
+            ("Oracle", "oracle", "diagnostic", None, None, None),
+        ]
+        got = [(name, r.family, r.group, r.lags, r.window, r.weighting) for name, r in METHODS.items()]
+        assert got == expected
+
+    def test_pairing_sub_models(self):
+        assert dict(zip(DEFAULT_PAIRINGS, PAIRING_SUBMODELS)) == {
+            ("exponential", "exponential"): ("EXP_200", "EXP_All"),
+            ("exponential", "linear"): ("EXP_200", "Linear_All"),
+            ("linear", "exponential"): ("Linear_200", "EXP_All"),
+            ("linear", "linear"): ("Linear_200", "Linear_All"),
+        }
+
+
 class TestSensitivity:
     def test_partition_identity(self):
         ds = tiny_dataset(n_series=30)
@@ -494,6 +514,15 @@ class TestSensitivity:
         report = build_report(prequential_run(ds, cfg))
         with pytest.raises(ConfigError):
             drift_sensitivity(ds, report)
+
+    def test_unknown_metric_rejected(self):
+        ds = tiny_dataset(n_series=30)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All"))
+        report = build_report(prequential_run(ds, cfg))
+        with pytest.raises(ConfigError):
+            drift_sensitivity(ds, report, metric="rsme")
+        with pytest.raises(ConfigError):
+            drift_region_split(ds, report, metric="rsme")
 
     def test_region_split_needs_both_groups(self):
         ds = tiny_dataset(kind="incremental")
