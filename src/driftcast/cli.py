@@ -38,10 +38,14 @@ from driftcast.core import (
     ConfigError,
     Dataset,
     DriftcastError,
+    csv_field,
+    csv_rows,
     format_float,
+    format_floats,
     load_dataset,
     save_dataset,
     sidecar_path,
+    write_csv,
 )
 from driftcast.evaluate import (
     EvalConfig,
@@ -371,7 +375,15 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
         results[kind] = KindResults(dataset=dataset, run=run, report=report, test=test, stats_note=note)
     t_eval = time.perf_counter()
 
-    files = _write_outputs(cfg, out_dir, results)
+    files = _inventory(out_dir, _write_traces(cfg, out_dir, results))
+    t_traces = time.perf_counter()
+
+    report_files = render_reports(cfg, out_dir, results)
+    for kind in results:
+        csv_path, meta_path = dataset_paths(out_dir, kind)
+        if csv_path.exists():
+            report_files.extend([csv_path, meta_path])
+    files.extend(_inventory(out_dir, report_files))
     t_report = time.perf_counter()
 
     manifest = {
@@ -384,7 +396,8 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
         "timings_seconds": {
             "datasets": round(t_sim - t0, 3),
             "evaluate": round(t_eval - t_sim, 3),
-            "reports": round(t_report - t_eval, 3),
+            "traces": round(t_traces - t_eval, 3),
+            "reports": round(t_report - t_traces, 3),
         },
         "failure_fractions": {
             kind: {
@@ -515,55 +528,50 @@ def _md_num(value, digits: int = 4) -> str:
     return str(value)
 
 
-def _write_outputs(cfg: RunConfig, out_dir: Path, results: dict) -> list[dict]:
+def _write_traces(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
     (out_dir / "traces").mkdir(parents=True, exist_ok=True)
-    (out_dir / "reports").mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
     for kind, res in results.items():
         trace_path = out_dir / "traces" / f"{kind}.csv"
         write_traces(trace_path, res.run)
         written.append(trace_path)
         if cfg.weight_traces and res.run.weight_traces:
             written.extend(_write_weight_traces(out_dir, kind, res.run))
+    return written
 
-    written.extend(render_reports(cfg, out_dir, results))
 
-    for kind in results:
-        csv_path, meta_path = dataset_paths(out_dir, kind)
-        if csv_path.exists():
-            written.extend([csv_path, meta_path])
-
-    inventory = []
-    for path in written:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        inventory.append(
-            {
-                "path": str(path.relative_to(out_dir)),
-                "sha256": digest,
-                "bytes": path.stat().st_size,
-            }
-        )
-    return inventory
+def _inventory(out_dir: Path, paths: list[Path]) -> list[dict]:
+    return [
+        {
+            "path": str(path.relative_to(out_dir)),
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "bytes": path.stat().st_size,
+        }
+        for path in paths
+    ]
 
 
 def _write_weight_traces(out_dir: Path, kind: str, run: RunResult) -> list[Path]:
+    header = ["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"]
     paths = []
     for method, per_series in run.weight_traces.items():
-        by_pairing: dict[tuple, list] = {}
-        for sid in run.series_ids:
-            for t, actual, row in per_series[sid]:
-                for pairing, (yp, ya, w_p, w_a, combined) in row.items():
-                    by_pairing.setdefault(pairing, []).append([sid, t, actual, yp, ya, w_p, w_a, combined])
-        for pairing, rows in by_pairing.items():
-            tag = f"{pairing[0][:3]}{pairing[1][:3]}"
-            path = out_dir / "traces" / f"weights_{method}_{tag}_{kind}.csv"
-            _write_csv(
-                path,
-                ["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"],
-                rows,
+        recorded = {sid: rows for sid in run.series_ids if (rows := per_series[sid])}
+        if not recorded:  # the combiner never stepped: no file
+            continue
+        # series id, t and y once per series, shared by the pairing files
+        shared = {
+            sid: ((csv_field(sid),), [str(t) for t, _, _ in rows], format_floats([y for _, y, _ in rows]))
+            for sid, rows in recorded.items()
+        }
+        first_step = next(iter(recorded.values()))[0]
+        for pairing in first_step[2]:
+            path = out_dir / "traces" / f"weights_{method}_{pairing[0][:3]}{pairing[1][:3]}_{kind}.csv"
+            chunks = (
+                # one column per value of the pairing's (yp, ya, w_p, w_a, combined)
+                csv_rows(*shared[sid], *map(format_floats, zip(*(row[pairing] for _, _, row in rows))))
+                for sid, rows in recorded.items()
             )
-            paths.append(path)
+            paths.append(write_csv(path, header, chunks))
     return paths
 
 

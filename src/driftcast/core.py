@@ -15,10 +15,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -198,6 +199,50 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+# The CSV text contract of every data file (datasets, traces, weight
+# traces): fields quoted as csv.writer's QUOTE_MINIMAL quotes them,
+# floats as ``repr``, rows ended by "\n". The helpers below build that
+# text a column at a time instead of calling csv.writer once per row.
+
+
+def format_floats(values) -> list[str]:
+    """:func:`format_float` of every element of a 1-D array, in one pass."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def csv_field(text: str) -> str:
+    """``text`` as csv.writer quotes it among other fields of a row.
+
+    Alone in a row, csv.writer writes an empty field as ``""``; among
+    others it writes nothing, and the data files never hold one-field
+    rows, so the text is taken from a two-field row.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def csv_rows(lead: Sequence[str], *columns: Sequence[str]) -> str:
+    """CSV text of one row per element of the columns: the fields
+    ``lead`` start every row, then one field from each column. All
+    fields must already be CSV text (:func:`csv_field`,
+    :func:`format_floats`)."""
+    if not len(columns[0]):
+        return ""
+    prefix = "".join(field + "," for field in lead)
+    return prefix + ("\n" + prefix).join(map(",".join, zip(*columns))) + "\n"
+
+
+def write_csv(path: str | Path, header: Sequence[str], chunks: Iterable[str]) -> Path:
+    """Write a CSV file: the ``header`` row, then each chunk of rows
+    (from :func:`csv_rows`) as it is produced."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(map(csv_field, header)) + "\n")
+        fh.writelines(chunks)
+    return path
+
+
 def save_dataset(dataset: Dataset, csv_path: str | Path) -> Path:
     """Write ``<path>.csv`` plus a ``<stem>.meta.json`` sidecar.
 
@@ -206,12 +251,12 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> Path:
     generator config snapshot. Returns the sidecar path.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "t", "value"])
-        for s in dataset.series:
-            for t, value in enumerate(s.values, start=1):
-                writer.writerow([s.id, t, format_float(value)])
+    positions = [str(t) for t in range(1, dataset.series_length + 1)]
+    write_csv(
+        csv_path,
+        ["series_id", "t", "value"],
+        (csv_rows((csv_field(s.id),), positions, format_floats(s.values)) for s in dataset.series),
+    )
     meta = {
         "name": dataset.name,
         "series_length": dataset.series_length,

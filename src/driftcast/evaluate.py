@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from driftcast.combine import DEFAULT_PAIRINGS, NON_FINITE_RSS
-from driftcast.core import ConfigError, Dataset, FitError, format_float
+from driftcast.core import ConfigError, Dataset, FitError, csv_field, csv_rows, format_floats, write_csv
 from driftcast.learners import (
     DEFAULT_GLOBAL_LAGS,
     DEFAULT_RIDGE_LAMBDA,
@@ -674,24 +674,18 @@ def drift_region_split(dataset: Dataset, report: EvalReport, metric: str = "rmse
 def write_traces(path: str | Path, run: RunResult) -> Path:
     """Forecast trace CSV: ``series_id,method,t,actual,prediction``
     with t the 1-based series position."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "method", "t", "actual", "prediction"])
-        for name in run.methods:
-            for i, sid in enumerate(run.series_ids):
-                row_preds = run.predictions[name][i]
-                for k in range(run.horizon):
-                    writer.writerow(
-                        [
-                            sid,
-                            name,
-                            run.train_len + k + 1,
-                            format_float(run.actuals[i][k]),
-                            format_float(row_preds[k]),
-                        ]
-                    )
-    return path
+    positions = [str(run.train_len + k + 1) for k in range(run.horizon)]
+    ids = [csv_field(sid) for sid in run.series_ids]
+    actuals = [format_floats(row) for row in run.actuals]  # shared by every method
+    return write_csv(
+        path,
+        ["series_id", "method", "t", "actual", "prediction"],
+        (
+            csv_rows((sid, csv_name), positions, actuals[i], format_floats(run.predictions[name][i]))
+            for name, csv_name in zip(run.methods, map(csv_field, run.methods))
+            for i, sid in enumerate(ids)
+        ),
+    )
 
 
 def load_traces(path: str | Path) -> RunResult:
@@ -718,16 +712,29 @@ def load_traces(path: str | Path) -> RunResult:
     if len(horizons) != 1:
         raise ConfigError("inconsistent horizon lengths across traces")
     horizon = horizons.pop()
-    first = next(iter(rows_by_key.values()))  # the file's first (method, series)
-    train_len = first[0][0] - 1
     predictions = {name: np.full((len(series_ids), horizon), np.nan) for name in methods}
     actuals = np.full((len(series_ids), horizon), np.nan)
+    first_actuals: dict[int, tuple] = {}  # series position -> its first method's actuals
     failures: dict[str, dict] = {name: {} for name in methods}
+    positions = None
     for (name, sid), rows in rows_by_key.items():
+        rows.sort()  # by t; a repeated t is rejected below
+        t, actual, prediction = zip(*rows)
+        if positions is None:  # the file's first (method, series) fixes where the horizon starts
+            train_len = t[0] - 1
+            positions = tuple(range(train_len + 1, train_len + horizon + 1))
+        if t != positions:
+            raise ConfigError(
+                f"trace of ({name!r}, {sid!r}) does not hold t={train_len + 1}..{train_len + horizon} once each in {path}"
+            )
         i = series_ids[sid]
-        rows.sort(key=lambda r: r[0])
-        predictions[name][i] = [r[2] for r in rows]
-        actuals[i] = [r[1] for r in rows]
+        first = first_actuals.setdefault(i, actual)
+        if first is actual:
+            actuals[i] = actual
+        # tuples of floats compare exactly, except that two NaNs differ
+        elif actual != first and not np.array_equal(first, actual, equal_nan=True):
+            raise ConfigError(f"actuals of series {sid!r} differ between methods in {path}")
+        predictions[name][i] = prediction
         if not np.all(np.isfinite(predictions[name][i])):
             failures[name][sid] = "missing predictions in stored trace"
     return RunResult(

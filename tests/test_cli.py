@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -35,6 +37,25 @@ def tiny_document(**overrides):
         "output": {"directory": "out", "formats": ["csv", "md"]},
     }
     return deep_merge(doc, overrides)
+
+
+def reference_weight_traces(run, method):
+    """The per-row writer the weight trace files came from before
+    (csv.writer, ``repr`` floats): the oracle for their bytes, by
+    pairing tag."""
+    rows_by_tag = {}
+    for sid in run.series_ids:
+        for t, actual, row in run.weight_traces[method][sid]:
+            for (partial, full), values in row.items():
+                rows_by_tag.setdefault(partial[:3] + full[:3], []).append([sid, t] + [repr(v) for v in (actual, *values)])
+    files = {}
+    for tag, rows in rows_by_tag.items():
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"])
+        writer.writerows(rows)
+        files[tag] = buf.getvalue().encode()
+    return files
 
 
 class TestValidation:
@@ -143,6 +164,8 @@ class TestRunCommand:
         assert (out / "reports" / "accuracy.md").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(cfg.document)
+        assert list(manifest["timings_seconds"]) == ["datasets", "evaluate", "traces", "reports"]
+        assert all(seconds >= 0 for seconds in manifest["timings_seconds"].values())
         for entry in manifest["files"]:
             digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
@@ -221,11 +244,13 @@ class TestRunCommand:
         doc = tiny_document(output={"weight_traces": True})
         cfg = validate_config(doc)
         out = tmp_path / "run"
-        cmd_run(cfg, out)
+        results = cmd_run(cfg, out)
         files = sorted((out / "traces").glob("weights_GDW_*_sudden.csv"))
         assert len(files) == 4
         header = files[0].read_text().splitlines()[0]
         assert header == "series_id,t,y,yhat_partial,yhat_all,w_p,w_a,yhat_combined"
+        for tag, expected in reference_weight_traces(results["sudden"].run, "GDW").items():
+            assert (out / "traces" / f"weights_GDW_{tag}_sudden.csv").read_bytes() == expected
 
 
 class TestMainExitCodes:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,22 @@ from driftcast.core import (
     load_dataset,
     save_dataset,
 )
+
+
+# ids that need csv quoting, and floats whose repr is easy to get wrong
+EDGE_IDS = ("", "a,b", 'q"t', "line\nbreak")
+EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 0.1)
+
+
+def reference_dataset_csv(dataset, path):
+    """The per-row writer that ``save_dataset`` replaced: the oracle for
+    its bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["series_id", "t", "value"])
+        for s in dataset.series:
+            for t, value in enumerate(s.values, start=1):
+                writer.writerow([s.id, t, repr(float(value))])
 
 
 def make_series(sid="s0", n=30, train_len=20, kind="none", **drift):
@@ -115,12 +133,12 @@ class TestDatasetIO:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         series = []
-        for i in range(3):
+        for i, sid in enumerate(("s0", "s1", "s2") + EDGE_IDS):
             values = rng.normal(size=40) * 10.0 ** float(rng.integers(-8, 8))
-            values[0] = 0.1  # classic repr-sensitive value
+            values[: len(EDGE_VALUES)] = EDGE_VALUES
             series.append(
                 TimeSeries(
-                    id=f"s{i}",
+                    id=sid,
                     values=values,
                     train_len=25,
                     drift=DriftMeta(kind="sudden", t_drift=7, seed=i),
@@ -129,6 +147,8 @@ class TestDatasetIO:
         ds = Dataset(name="roundtrip", series=tuple(series), generator_config={"base_seed": 5})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
+        reference_dataset_csv(ds, tmp_path / "reference.csv")
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
         loaded = load_dataset(path)
         assert loaded.name == ds.name
         assert loaded.generator_config == ds.generator_config
@@ -137,6 +157,16 @@ class TestDatasetIO:
             assert back.train_len == orig.train_len
             assert back.drift == orig.drift
             assert np.array_equal(back.values, orig.values)
+            assert np.array_equal(np.signbit(back.values), np.signbit(orig.values))
+
+    def test_carriage_return_left_unquoted(self, tmp_path):
+        # csv.writer with "\n" line ends does not quote "\r"; the bytes
+        # follow it, although csv.reader cannot read such a row back
+        ds = Dataset(name="d", series=(make_series("cr\rx", n=5, train_len=3), make_series("b", n=5, train_len=3)))
+        save_dataset(ds, tmp_path / "ds.csv")
+        reference_dataset_csv(ds, tmp_path / "reference.csv")
+        assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "ds.csv").read_bytes().startswith(b"series_id,t,value\ncr\rx,1,")
 
     def test_csv_shape(self, tmp_path):
         ds = Dataset(name="d", series=(make_series("a", n=5, train_len=3),))

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import warnings
 
 import numpy as np
@@ -532,20 +534,82 @@ class TestSensitivity:
             drift_region_split(ds, report)
 
 
+def reference_trace_csv(run, path):
+    """The per-row writer that ``write_traces`` replaced: the oracle for
+    its bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["series_id", "method", "t", "actual", "prediction"])
+        for name in run.methods:
+            for i, sid in enumerate(run.series_ids):
+                for k in range(run.horizon):
+                    writer.writerow(
+                        [sid, name, run.train_len + k + 1, repr(float(run.actuals[i][k])), repr(float(run.predictions[name][i][k]))]
+                    )
+
+
+# ids that need csv quoting, and forecasts whose repr is easy to get wrong
+EDGE_IDS = ("", "a,b", 'q"t', "line\nbreak")
+EDGE_PREDICTIONS = (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1)
+
+
+def write_trace_text(path, rows):
+    path.write_text("series_id,method,t,actual,prediction\n" + "".join(f"{r}\n" for r in rows))
+    return path
+
+
 class TestTraceIO:
     def test_roundtrip(self, tmp_path):
         ds = tiny_dataset()
         cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All", "GDW"))
         run = prequential_run(ds, cfg)
-        path = tmp_path / "traces.csv"
-        write_traces(path, run)
-        loaded = load_traces(path)
-        assert loaded.methods == run.methods
-        assert loaded.series_ids == run.series_ids
-        assert loaded.train_len == run.train_len
-        assert np.array_equal(loaded.actuals, run.actuals)
-        for name in run.methods:
-            assert np.array_equal(loaded.predictions[name], run.predictions[name])
+        predictions = {name: p.copy() for name, p in run.predictions.items()}
+        predictions["GDW"][1, : len(EDGE_PREDICTIONS)] = EDGE_PREDICTIONS
+        edge_run = dataclasses.replace(run, series_ids=EDGE_IDS + ("s4", "s5"), predictions=predictions)
+        for run in (run, edge_run):
+            path = tmp_path / "traces.csv"
+            write_traces(path, run)
+            reference_trace_csv(run, tmp_path / "reference.csv")
+            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            loaded = load_traces(path)
+            assert loaded.methods == run.methods
+            assert loaded.series_ids == run.series_ids
+            assert loaded.train_len == run.train_len
+            assert np.array_equal(loaded.actuals, run.actuals)
+            for name in run.methods:
+                assert np.array_equal(loaded.predictions[name], run.predictions[name], equal_nan=True)
+                assert np.array_equal(np.signbit(loaded.predictions[name]), np.signbit(run.predictions[name]))
+
+    def test_carriage_return_left_unquoted(self, tmp_path):
+        # csv.writer with "\n" line ends does not quote "\r"; the bytes
+        # follow it, although csv.reader cannot read such a row back
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("Plain_All"))
+        run = prequential_run(tiny_dataset(n_series=2), cfg)
+        run = dataclasses.replace(run, series_ids=("cr\rx", "b"))
+        write_traces(tmp_path / "traces.csv", run)
+        reference_trace_csv(run, tmp_path / "reference.csv")
+        assert (tmp_path / "traces.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert b"\ncr\rx,Plain_All,91," in (tmp_path / "traces.csv").read_bytes()
+
+    def test_train_len_from_earliest_position(self, tmp_path):
+        path = write_trace_text(tmp_path / "t.csv", ["a,M,12,2.0,2.5", "a,M,11,1.0,1.5", "b,M,11,3.0,3.5", "b,M,12,4.0,4.5"])
+        run = load_traces(path)
+        assert run.train_len == 10
+        assert np.array_equal(run.actuals, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(run.predictions["M"], [[1.5, 2.5], [3.5, 4.5]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["a,M,11,1.0,1.5", "a,M,12,2.0,2.5", "b,M,40,3.0,3.5", "b,M,41,4.0,4.5"],  # two horizons
+            ["a,M,11,1.0,1.5", "a,M,12,2.0,2.5", "b,M,11,3.0,3.5", "b,M,13,4.0,4.5"],  # a gap
+            ["a,M,11,1.0,1.5", "a,M,12,2.0,2.5", "b,M,11,3.0,3.5", "b,M,11,4.0,4.5"],  # a repeat
+            ["a,M,11,1.0,1.5", "a,M,12,2.0,2.5", "a,N,11,1.0,1.5", "a,N,12,2.5,2.5"],  # actuals disagree
+        ],
+    )
+    def test_inconsistent_rows_rejected(self, tmp_path, rows):
+        with pytest.raises(ConfigError):
+            load_traces(write_trace_text(tmp_path / "t.csv", rows))
 
     def test_reports_recomputable_from_traces(self, tmp_path):
         ds = tiny_dataset()
