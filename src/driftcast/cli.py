@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import os
@@ -40,7 +39,6 @@ from driftcast.core import (
     DriftcastError,
     csv_field,
     csv_rows,
-    format_float,
     format_floats,
     load_dataset,
     save_dataset,
@@ -60,6 +58,7 @@ from driftcast.evaluate import (
     prequential_run,
     report_order,
     write_traces,
+    write_weight_traces,
 )
 from driftcast.simulate import SIM_DRIFT_KINDS, SimConfig, make_dataset
 from driftcast.stats import TestResult, format_p, run_rank_tests
@@ -506,16 +505,13 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+        return format_floats([value])[0]
+    return csv_field(str(value))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+    cells = [[_csv_cell(v) for v in row] for row in rows]
+    write_csv(path, header, [csv_rows((), *zip(*cells))])
 
 
 def _md_num(value, digits: int = 4) -> str:
@@ -536,7 +532,7 @@ def _write_traces(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
         write_traces(trace_path, res.run)
         written.append(trace_path)
         if cfg.weight_traces and res.run.weight_traces:
-            written.extend(_write_weight_traces(out_dir, kind, res.run))
+            written.extend(write_weight_traces(out_dir / "traces", kind, res.run))
     return written
 
 
@@ -549,30 +545,6 @@ def _inventory(out_dir: Path, paths: list[Path]) -> list[dict]:
         }
         for path in paths
     ]
-
-
-def _write_weight_traces(out_dir: Path, kind: str, run: RunResult) -> list[Path]:
-    header = ["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"]
-    paths = []
-    for method, per_series in run.weight_traces.items():
-        recorded = {sid: rows for sid in run.series_ids if (rows := per_series[sid])}
-        if not recorded:  # the combiner never stepped: no file
-            continue
-        # series id, t and y once per series, shared by the pairing files
-        shared = {
-            sid: ((csv_field(sid),), [str(t) for t, _, _ in rows], format_floats([y for _, y, _ in rows]))
-            for sid, rows in recorded.items()
-        }
-        first_step = next(iter(recorded.values()))[0]
-        for pairing in first_step[2]:
-            path = out_dir / "traces" / f"weights_{method}_{pairing[0][:3]}{pairing[1][:3]}_{kind}.csv"
-            chunks = (
-                # one column per value of the pairing's (yp, ya, w_p, w_a, combined)
-                csv_rows(*shared[sid], *map(format_floats, zip(*(row[pairing] for _, _, row in rows))))
-                for sid, rows in recorded.items()
-            )
-            paths.append(write_csv(path, header, chunks))
-    return paths
 
 
 def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:

@@ -126,6 +126,10 @@ class TimeSeries:
     drift: DriftMeta = field(default_factory=lambda: DriftMeta(kind="none"))
 
     def __post_init__(self) -> None:
+        # csv.writer leaves "\r" unquoted with "\n" line ends, and
+        # csv.reader then splits the row: such an id could not be read back
+        if "\r" in self.id:
+            raise ConfigError(f"series id {self.id!r} holds a carriage return")
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise ConfigError("values must be a non-empty 1-D sequence")
@@ -194,19 +198,15 @@ class Dataset:
         return np.vstack([s.values for s in self.series])
 
 
-def format_float(x: float) -> str:
-    """Shortest decimal text that round-trips the float64 exactly."""
-    return repr(float(x))
-
-
-# The CSV text contract of every data file (datasets, traces, weight
-# traces): fields quoted as csv.writer's QUOTE_MINIMAL quotes them,
-# floats as ``repr``, rows ended by "\n". The helpers below build that
-# text a column at a time instead of calling csv.writer once per row.
+# The CSV text contract of every output file (datasets, traces, weight
+# traces, reports): fields quoted as csv.writer's QUOTE_MINIMAL quotes
+# them, floats as ``repr``, rows ended by "\n". The helpers below build
+# that text a column at a time instead of calling csv.writer once per row.
 
 
 def format_floats(values) -> list[str]:
-    """:func:`format_float` of every element of a 1-D array, in one pass."""
+    """The shortest decimal text that round-trips each float64 of a 1-D
+    array exactly (``repr``), in one pass."""
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
@@ -214,8 +214,8 @@ def csv_field(text: str) -> str:
     """``text`` as csv.writer quotes it among other fields of a row.
 
     Alone in a row, csv.writer writes an empty field as ``""``; among
-    others it writes nothing, and the data files never hold one-field
-    rows, so the text is taken from a two-field row.
+    others it writes nothing. The text is taken from a two-field row, so
+    no output file holds a row of one empty field.
     """
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow((text, ""))
@@ -291,11 +291,14 @@ def load_dataset(csv_path: str | Path) -> Dataset:
         header = next(reader, None)
         if header != ["series_id", "t", "value"]:
             raise ConfigError(f"unexpected dataset header {header!r} in {csv_path}")
-        for sid, t, value in reader:
-            bucket = values_by_id.setdefault(sid, [])
-            if int(t) != len(bucket) + 1:
-                raise ConfigError(f"non-contiguous t for series {sid!r} in {csv_path}")
-            bucket.append(float(value))
+        try:
+            for sid, t, value in reader:
+                bucket = values_by_id.setdefault(sid, [])
+                if int(t) != len(bucket) + 1:
+                    raise ConfigError(f"non-contiguous t for series {sid!r} in {csv_path}")
+                bucket.append(float(value))
+        except (ValueError, csv.Error) as exc:  # a wrong field count or an unparsable number
+            raise ConfigError(f"malformed row at line {reader.line_num} of {csv_path}: {exc}") from exc
     series = []
     for entry in meta["series"]:
         sid = entry["id"]

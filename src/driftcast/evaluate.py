@@ -175,7 +175,16 @@ class EvalConfig:
 
 @dataclass
 class RunResult:
-    """Everything a prequential campaign produced for one dataset."""
+    """Everything a prequential campaign produced for one dataset.
+
+    ``weight_traces`` (with ``capture_weights``) maps each combiner to
+    ``(steps, table)``: ``steps`` is an (n_series,) int array of the
+    steps recorded per series, and ``table`` an (n_series, horizon,
+    pairings, 5) float array whose last axis holds the partial and full
+    sub-model forecasts, ``w_p``, ``w_a`` and the pairing's combined
+    forecast of each step, pairings in ``DEFAULT_PAIRINGS`` order. Only
+    the first ``steps[i]`` rows of series ``i`` are recorded: a series
+    stops at its combiner's failure."""
 
     dataset_name: str
     series_ids: tuple
@@ -341,7 +350,7 @@ def _evaluate_batch(
     ``global_fits`` holds each block's pooled models and fit failures.
     Returns predictions and fit counts per method, failure messages per
     method keyed by row, and, with ``capture_weights``, each combiner's
-    weight rows per series."""
+    weight traces as :attr:`RunResult.weight_traces` holds them."""
     n = values.shape[0]
     horizon, block_size = cfg.horizon, cfg.block_size
     V = np.ascontiguousarray(values.T)  # V[t]: every series' value at position t
@@ -352,9 +361,11 @@ def _evaluate_batch(
     ok = {name: np.ones(n, dtype=bool) for name in names}
     banks = {m.name: _CombinerBank(m, n) for m in cfg.methods if METHODS[m.name].family in ("ecw", "gdw")}
     ets_grids: dict = {}
+    weights = None
     if capture_weights:
-        weight_rows = {name: np.empty((horizon, n, len(DEFAULT_PAIRINGS), 5)) for name in banks}
-        weight_steps = {name: np.zeros(n, dtype=int) for name in banks}
+        weights = {
+            name: (np.zeros(n, dtype=int), np.full((n, horizon, len(DEFAULT_PAIRINGS), 5), np.nan)) for name in banks
+        }
 
     def fail(name: str, rows, message: str) -> None:
         """Mark the working series among ``rows`` (a mask, or True for
@@ -423,25 +434,14 @@ def _evaluate_batch(
                         preds[name][bad & ok[name]] = np.nan  # a diverged combiner keeps no forecasts
                         fail(name, bad, f"combiner diverged at t={t + 1}: {NON_FINITE_RSS}")
                         if capture_weights:
-                            weight_rows[name][t - train_len] = banks[name].weight_row()
-                            weight_steps[name][ok[name]] += 1
+                            steps, table = weights[name]
+                            table[:, t - train_len] = banks[name].weight_row()
+                            steps[ok[name]] += 1
                 else:  # the oracle reads the actual; it needs no fit
                     fit_counts[name] += 1
                     forecasts = V[start:stop]
                 preds[name][:, start - train_len : stop - train_len] = np.where(ok[name], forecasts, np.nan).T
 
-    weights = None
-    if capture_weights:
-        weights = {
-            name: [
-                [
-                    (train_len + pos + 1, float(V[train_len + pos, i]), dict(zip(DEFAULT_PAIRINGS, map(tuple, table[pos, i].tolist()))))
-                    for pos in range(weight_steps[name][i])
-                ]
-                for i in range(n)
-            ]
-            for name, table in weight_rows.items()
-        }
     return preds, fit_counts, failed, weights
 
 
@@ -487,7 +487,7 @@ def prequential_run(dataset: Dataset, cfg: EvalConfig, capture_weights: bool = F
         predictions=predictions,
         fit_counts=fit_counts,
         failures={name: {series_ids[i]: msg for i, msg in sorted(rows.items())} for name, rows in failed.items()},
-        weight_traces=None if weights is None else {name: dict(zip(series_ids, rows)) for name, rows in weights.items()},
+        weight_traces=weights,
     )
 
 
@@ -688,6 +688,31 @@ def write_traces(path: str | Path, run: RunResult) -> Path:
     )
 
 
+def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> list[Path]:
+    """Weight trace CSVs of ``run``'s combiners, one file per (combiner,
+    pairing): ``weights_<method>_<pairing>_<kind>.csv`` with columns
+    ``series_id,t,y,yhat_partial,yhat_all,w_p,w_a,yhat_combined``, one
+    row per recorded step, y being the actual."""
+    header = ["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"]
+    positions = [str(run.train_len + k + 1) for k in range(run.horizon)]
+    paths = []
+    for method, (steps, table) in run.weight_traces.items():
+        recorded = np.flatnonzero(steps)
+        if not recorded.size:  # the combiner never stepped: no file
+            continue
+        # series id, t and y once per series, shared by the pairing files
+        shared = {
+            i: ((csv_field(run.series_ids[i]),), positions[: steps[i]], format_floats(run.actuals[i, : steps[i]]))
+            for i in recorded
+        }
+        for j, (partial, full) in enumerate(DEFAULT_PAIRINGS):
+            path = Path(directory) / f"weights_{method}_{partial[:3]}{full[:3]}_{kind}.csv"
+            # one column per recorded value of the pairing
+            chunks = (csv_rows(*shared[i], *map(format_floats, table[i, : steps[i], j].T)) for i in recorded)
+            paths.append(write_csv(path, header, chunks))
+    return paths
+
+
 def load_traces(path: str | Path) -> RunResult:
     """Rebuild a RunResult (minus fit counts) from a trace CSV."""
     path = Path(path)
@@ -702,10 +727,13 @@ def load_traces(path: str | Path) -> RunResult:
         header = next(reader, None)
         if header != ["series_id", "method", "t", "actual", "prediction"]:
             raise ConfigError(f"unexpected trace header {header!r} in {path}")
-        for sid, name, t, actual, prediction in reader:
-            methods.setdefault(name, len(methods))
-            series_ids.setdefault(sid, len(series_ids))
-            rows_by_key.setdefault((name, sid), []).append((int(t), float(actual), float(prediction)))
+        try:
+            for sid, name, t, actual, prediction in reader:
+                methods.setdefault(name, len(methods))
+                series_ids.setdefault(sid, len(series_ids))
+                rows_by_key.setdefault((name, sid), []).append((int(t), float(actual), float(prediction)))
+        except (ValueError, csv.Error) as exc:  # a wrong field count or an unparsable number
+            raise ConfigError(f"malformed row at line {reader.line_num} of {path}: {exc}") from exc
     if not rows_by_key:
         raise ConfigError(f"trace file {path} holds no rows")
     horizons = {len(v) for v in rows_by_key.values()}

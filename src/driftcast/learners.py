@@ -78,21 +78,6 @@ class ForecastModel:
     level: Optional[float] = None
     smoothing: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        """JSON-ready parameter snapshot for reproducibility audits."""
-        return {
-            "family": self.spec.family,
-            "p": self.spec.p,
-            "window": self.spec.window,
-            "weighting": self.spec.weighting.method,
-            "ridge_lambda": self.spec.ridge_lambda,
-            "fitted_through": self.fitted_through,
-            "coef": None if self.coef is None else [float(c) for c in self.coef],
-            "intercept": self.intercept,
-            "level": self.level,
-            "smoothing": self.smoothing,
-        }
-
 
 def _lag_rows(values: np.ndarray, p: int, first_target: int, last_target: int):
     """Design rows for targets in [first_target, last_target) of

@@ -1,9 +1,8 @@
-import csv
 import hashlib
-import io
 import json
 
 import pytest
+from test_evaluate import reference_weight_traces
 
 from driftcast.cli import (
     PRESETS,
@@ -37,25 +36,6 @@ def tiny_document(**overrides):
         "output": {"directory": "out", "formats": ["csv", "md"]},
     }
     return deep_merge(doc, overrides)
-
-
-def reference_weight_traces(run, method):
-    """The per-row writer the weight trace files came from before
-    (csv.writer, ``repr`` floats): the oracle for their bytes, by
-    pairing tag."""
-    rows_by_tag = {}
-    for sid in run.series_ids:
-        for t, actual, row in run.weight_traces[method][sid]:
-            for (partial, full), values in row.items():
-                rows_by_tag.setdefault(partial[:3] + full[:3], []).append([sid, t] + [repr(v) for v in (actual, *values)])
-    files = {}
-    for tag, rows in rows_by_tag.items():
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"])
-        writer.writerows(rows)
-        files[tag] = buf.getvalue().encode()
-    return files
 
 
 class TestValidation:
@@ -249,8 +229,10 @@ class TestRunCommand:
         assert len(files) == 4
         header = files[0].read_text().splitlines()[0]
         assert header == "series_id,t,y,yhat_partial,yhat_all,w_p,w_a,yhat_combined"
-        for tag, expected in reference_weight_traces(results["sudden"].run, "GDW").items():
-            assert (out / "traces" / f"weights_GDW_{tag}_sudden.csv").read_bytes() == expected
+        expected = {}
+        for kind, res in results.items():
+            expected.update(reference_weight_traces(res.run, kind))
+        assert {path.name: path.read_bytes() for path in (out / "traces").glob("weights_*")} == expected
 
 
 class TestMainExitCodes:

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,12 @@ class TestTimeSeries:
         with pytest.raises(ConfigError):
             TimeSeries(id="x", values=[1.0, 2.0], train_len=3)
 
+    def test_rejects_carriage_return_in_id(self):
+        # csv.writer would leave it unquoted, and csv.reader split the row
+        with pytest.raises(ConfigError, match="carriage return"):
+            TimeSeries(id="cr\rx", values=[1.0, 2.0], train_len=1)
+        TimeSeries(id="line\nbreak", values=[1.0, 2.0], train_len=1)
+
     def test_values_frozen(self):
         s = make_series()
         with pytest.raises(ValueError):
@@ -159,14 +166,17 @@ class TestDatasetIO:
             assert np.array_equal(back.values, orig.values)
             assert np.array_equal(np.signbit(back.values), np.signbit(orig.values))
 
-    def test_carriage_return_left_unquoted(self, tmp_path):
-        # csv.writer with "\n" line ends does not quote "\r"; the bytes
-        # follow it, although csv.reader cannot read such a row back
-        ds = Dataset(name="d", series=(make_series("cr\rx", n=5, train_len=3), make_series("b", n=5, train_len=3)))
-        save_dataset(ds, tmp_path / "ds.csv")
-        reference_dataset_csv(ds, tmp_path / "reference.csv")
-        assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-        assert (tmp_path / "ds.csv").read_bytes().startswith(b"series_id,t,value\ncr\rx,1,")
+    @pytest.mark.parametrize(
+        "row",
+        ["a,2", "a,2,0.5,9", "a,two,0.5", "a,2,half", "cr\rx,2,0.5"],  # the last splits into two rows
+    )
+    def test_malformed_row_rejected(self, tmp_path, row):
+        path = tmp_path / "ds.csv"
+        save_dataset(Dataset(name="d", series=(make_series("a", n=3, train_len=2),)), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n", newline="")
+        with pytest.raises(ConfigError, match=re.escape(f"line 3 of {path}")):
+            load_dataset(path)
 
     def test_csv_shape(self, tmp_path):
         ds = Dataset(name="d", series=(make_series("a", n=5, train_len=3),))

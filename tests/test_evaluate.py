@@ -1,9 +1,15 @@
 import csv
 import dataclasses
+import io
+import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftcast import evaluate
 from driftcast.combine import DEFAULT_PAIRINGS, PairingEnsemble
@@ -13,6 +19,7 @@ from driftcast.evaluate import (
     PAIRING_SUBMODELS,
     EvalConfig,
     MethodSpec,
+    RunResult,
     aggregate,
     build_report,
     drift_region_split,
@@ -22,6 +29,7 @@ from driftcast.evaluate import (
     prequential_run,
     rmse,
     write_traces,
+    write_weight_traces,
 )
 from driftcast.learners import ForecastModel, fit_ets, predict_one
 from driftcast.simulate import SimConfig, make_dataset
@@ -147,11 +155,14 @@ def _replay_series(values, train_len, cfg, globals_by_block):
     return preds, fit_counts, failed, log
 
 
-def weight_table(rows):
-    """A weight trace as one array row per step: t, actual, then the
-    five recorded values of each pairing in pairing order."""
+def weight_table(rows, run, i):
+    """A replayed weight trace of series ``i`` as the engine records it,
+    a (steps, pairings, 5) array, after checking its t and y columns,
+    which the engine leaves to the positions and ``run.actuals``."""
+    assert [t for t, _, _ in rows] == list(range(run.train_len + 1, run.train_len + 1 + len(rows)))
+    assert [actual for _, actual, _ in rows] == run.actuals[i, : len(rows)].tolist()
     assert all(list(row) == list(DEFAULT_PAIRINGS) for _, _, row in rows)
-    return np.array([[t, actual] + [v for values in row.values() for v in values] for t, actual, row in rows])
+    return np.array([list(row.values()) for _, _, row in rows]).reshape(len(rows), len(DEFAULT_PAIRINGS), 5)
 
 
 def assert_matches_replay(run, dataset, cfg):
@@ -163,10 +174,11 @@ def assert_matches_replay(run, dataset, cfg):
     if run.weight_traces is not None:
         assert set(run.weight_traces) == set(weights)
         for name, per_series in weights.items():
-            for sid, rows in per_series.items():
-                got = run.weight_traces[name][sid]
-                assert len(got) == len(rows), (name, sid)
-                assert np.array_equal(weight_table(got), weight_table(rows), equal_nan=True), (name, sid)
+            steps, table = run.weight_traces[name]
+            assert table.shape == (len(dataset), cfg.horizon, len(DEFAULT_PAIRINGS), 5)
+            for i, rows in enumerate(per_series.values()):
+                assert steps[i] == len(rows), (name, i)
+                assert np.array_equal(table[i, : steps[i]], weight_table(rows, run, i), equal_nan=True), (name, i)
 
 
 def spiked_dataset(n_series=4, spike_series=1, length=80, train_len=50, spike_at=60):
@@ -302,10 +314,12 @@ class TestPrequentialRun:
                 assert np.array_equal(run.predictions[name][i], rev.predictions[name][j], equal_nan=True), (name, sid)
                 assert run.fit_counts[name][i] == rev.fit_counts[name][j], (name, sid)
         assert set(run.weight_traces) == set(rev.weight_traces) == {"GDW", "ECW"}
-        for name, per_series in run.weight_traces.items():
-            for sid, rows in per_series.items():
-                other = weight_table(rev.weight_traces[name][sid])
-                assert np.array_equal(weight_table(rows), other, equal_nan=True), (name, sid)
+        for name, (steps, table) in run.weight_traces.items():
+            rev_steps, rev_table = rev.weight_traces[name]
+            for i, sid in enumerate(run.series_ids):
+                j = len(run.series_ids) - 1 - i
+                assert steps[i] == rev_steps[j], (name, sid)
+                assert np.array_equal(table[i, : steps[i]], rev_table[j, : steps[i]], equal_nan=True), (name, sid)
 
     def test_fit_failure_reported_not_silent(self):
         ds = tiny_dataset(length=60, train_len=10)
@@ -391,7 +405,7 @@ class TestBatchEngine:
             assert sid == "s1"
             assert message.startswith("combiner diverged at t=") and message.endswith("rss_point requires finite inputs")
             assert np.all(np.isnan(run.predictions[name][1]))
-            assert len(run.weight_traces[name]["s1"]) < cfg.horizon
+            assert run.weight_traces[name][0][1] < cfg.horizon  # steps recorded for s1
         assert run.failures["Plain_All"] == {}
         # the other series of the batch come out as if run on their own
         rest = Dataset(name="rest", series=tuple(s for s in ds.series if s.id != "s1"))
@@ -548,9 +562,51 @@ def reference_trace_csv(run, path):
                     )
 
 
+def reference_weight_traces(run, kind):
+    """The per-row writer the weight trace files came from before
+    (csv.writer, ``repr`` floats): the oracle for their bytes, by file
+    name."""
+    files = {}
+    for method, (steps, table) in run.weight_traces.items():
+        if not steps.any():  # a combiner that never stepped has no file
+            continue
+        for j, (partial, full) in enumerate(DEFAULT_PAIRINGS):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"])
+            for i, sid in enumerate(run.series_ids):
+                for k in range(steps[i]):
+                    values = (run.actuals[i, k], *table[i, k, j])
+                    writer.writerow([sid, run.train_len + k + 1] + [repr(float(v)) for v in values])
+            files[f"weights_{method}_{partial[:3]}{full[:3]}_{kind}.csv"] = buf.getvalue().encode()
+    return files
+
+
+def hand_made_run(series_ids, train_len, actuals, predictions, weight_traces=None):
+    n, horizon = actuals.shape
+    return RunResult(
+        dataset_name="hand-made",
+        series_ids=tuple(series_ids),
+        methods=tuple(predictions),
+        train_len=train_len,
+        horizon=horizon,
+        block_size=horizon,
+        actuals=actuals,
+        predictions=predictions,
+        fit_counts={name: np.zeros(n, dtype=int) for name in predictions},
+        failures={name: {} for name in predictions},
+        weight_traces=weight_traces,
+    )
+
+
 # ids that need csv quoting, and forecasts whose repr is easy to get wrong
 EDGE_IDS = ("", "a,b", 'q"t', "line\nbreak")
 EDGE_PREDICTIONS = (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1)
+
+# any text the files' utf-8 can hold but "\r", which TimeSeries
+# rejects; any float64, the edge values drawn often
+NAMES = st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=6)
+FLOATS = st.floats() | st.sampled_from(EDGE_PREDICTIONS + (-5e-324, 2.2250738585072014e-308, -1e308))
 
 
 def write_trace_text(path, rows):
@@ -591,6 +647,33 @@ class TestTraceIO:
         assert (tmp_path / "traces.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert b"\ncr\rx,Plain_All,91," in (tmp_path / "traces.csv").read_bytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_property(self, data):
+        series_ids = data.draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+        methods = data.draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+        shape = (len(series_ids), data.draw(st.integers(1, 4)))
+        actuals = data.draw(arrays(np.float64, shape, elements=FLOATS))
+        predictions = {name: data.draw(arrays(np.float64, shape, elements=FLOATS)) for name in methods}
+        run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, predictions)
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_traces(write_traces(f"{tmp}/traces.csv", run))
+        assert (loaded.series_ids, loaded.methods) == (run.series_ids, run.methods)
+        assert (loaded.train_len, loaded.horizon) == (run.train_len, run.horizon)
+        for got, expected in [(loaded.actuals, actuals)] + [(loaded.predictions[m], predictions[m]) for m in methods]:
+            assert np.array_equal(got, expected, equal_nan=True)
+            signed = ~np.isnan(expected)  # repr writes every NaN as "nan"
+            assert np.array_equal(np.signbit(got[signed]), np.signbit(expected[signed]))
+
+    @pytest.mark.parametrize(
+        "row",
+        ["a,M,12,2.0", "a,M,12,2.0,2.5,0", "a,M,twelve,2.0,2.5", "a,M,12,2.0,half", "cr\rx,M,12,2.0,2.5"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, row):
+        path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", row])
+        with pytest.raises(ConfigError, match=re.escape(f"line 3 of {path}")):
+            load_traces(path)
+
     def test_train_len_from_earliest_position(self, tmp_path):
         path = write_trace_text(tmp_path / "t.csv", ["a,M,12,2.0,2.5", "a,M,11,1.0,1.5", "b,M,11,3.0,3.5", "b,M,12,4.0,4.5"])
         run = load_traces(path)
@@ -625,3 +708,80 @@ class TestTraceIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_traces(tmp_path / "nope.csv")
+
+
+class TestWeightTraces:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_row_writer(self, data):
+        series_ids = data.draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+        n, horizon = len(series_ids), data.draw(st.integers(1, 4))
+        weight_traces = {}
+        for name in ("GDW", "ECW"):
+            # no step, some steps or the full horizon, series by series
+            steps = np.array(data.draw(st.lists(st.integers(0, horizon), min_size=n, max_size=n)))
+            table = data.draw(arrays(np.float64, (n, horizon, len(DEFAULT_PAIRINGS), 5), elements=FLOATS))
+            weight_traces[name] = (steps, table)
+        actuals = data.draw(arrays(np.float64, (n, horizon), elements=FLOATS))
+        run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, {}, weight_traces)
+        with tempfile.TemporaryDirectory() as tmp:
+            written = {path.name: path.read_bytes() for path in write_weight_traces(tmp, "sudden", run)}
+        assert written == reference_weight_traces(run, "sudden")
+
+
+# sub-model forecasts of moderate size, or any float64 at all
+STREAM = st.floats(-1e3, 1e3) | st.floats()
+
+
+class TestCombinerBank:
+    """The batch state of ECW/GDW against ``ecw_step``/``gdw_step``
+    (through ``PairingEnsemble``), on random streams."""
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("ECW", {}),
+            ("GDW", {}),
+            ("GDW", {"true_gradient": True}),
+            ("GDW", {"clamp": True}),
+            ("GDW", {"true_gradient": True, "clamp": True}),
+        ],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_steps(self, name, flags, data):
+        n, steps = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+        eta = data.draw(st.floats(1e-4, 1.0))
+        y = data.draw(arrays(np.float64, (2, steps, n, len(DEFAULT_PAIRINGS)), elements=STREAM))
+        # and a few non-finite ones, which the scalar steps refuse
+        where = st.tuples(st.integers(0, 1), st.integers(0, steps - 1), st.integers(0, n - 1), st.integers(0, 3))
+        for at, value in data.draw(st.lists(st.tuples(where, st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3)):
+            y[at] = value
+        y_partial, y_all = y
+        actuals = data.draw(arrays(np.float64, (steps, n), elements=st.floats(allow_nan=False, allow_infinity=False)))
+        bank = evaluate._CombinerBank(MethodSpec(name=name, eta=eta, **flags), n)
+        ensembles = [PairingEnsemble(rule=name.lower(), eta=eta, **flags) for _ in range(n)]
+        alive = np.ones(n, dtype=bool)
+        for k in range(steps):
+            with np.errstate(all="ignore"):
+                combined, diverged = bank.step(y_partial[k], y_all[k], actuals[k - 1])
+            for i in np.flatnonzero(alive):
+                sub = {p: (float(y_partial[k, i, j]), float(y_all[k, i, j])) for j, p in enumerate(DEFAULT_PAIRINGS)}
+                try:
+                    expected = ensembles[i].step(sub)
+                except DriftcastError:  # the scalar step refuses non-finite inputs
+                    assert diverged[i]
+                    alive[i] = False
+                    continue
+                assert not diverged[i]
+                assert np.array_equal(combined[i], expected, equal_nan=True)
+                states = [ensembles[i].states[p] for p in DEFAULT_PAIRINGS]
+                row = [(s.prev_pred_partial, s.prev_pred_all, s.w_p, s.w_a, s.prev_pred_combined) for s in states]
+                assert np.array_equal(bank.weight_row()[i], row, equal_nan=True)
+                ensembles[i].observe(float(actuals[k, i]))
+            w_p, w_a = bank.w_p[alive], bank.w_a[alive]
+            if name == "ECW":  # the shares of the total error sum to one
+                finite = np.isfinite(w_p) & np.isfinite(w_a)
+                assert np.all(np.abs(w_p[finite] + w_a[finite] - 1.0) <= 4 * np.finfo(float).eps)
+            if flags.get("clamp"):
+                assert not np.any((w_p < 0.0) | (w_p > 1.0) | (w_a < 0.0) | (w_a > 1.0))

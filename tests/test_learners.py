@@ -222,10 +222,3 @@ class TestPredictOne:
         model = fit_local_ar(np.random.default_rng(8).normal(size=30), 3)
         with pytest.raises(ConfigError):
             predict_one(model, np.array([1.0, 2.0]))
-
-    def test_serializable(self):
-        import json
-
-        model = fit_local_ar(np.random.default_rng(9).normal(size=30), 2)
-        blob = json.dumps(model.to_dict())
-        assert "local_ar" in blob
