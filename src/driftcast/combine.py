@@ -16,9 +16,12 @@ the realized actual is fed back through :func:`observe`, which arms
 the next step. Replaying a recorded stream therefore reproduces the
 weight trajectory bit for bit.
 
-The production configuration runs four such combiners per series, one
+:class:`PairingEnsemble` runs four such combiners for one series, one
 per pairing of {exponential, linear} training weighting for the recent
-and full sub-models, and averages their predictions.
+and full sub-models, and averages their predictions. These scalar state
+machines are the reference that the evaluation engine's batched
+``_CombinerBank`` (:mod:`driftcast.evaluate`) is tested against; the
+engine does not call them.
 """
 
 from __future__ import annotations

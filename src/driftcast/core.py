@@ -147,14 +147,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def train_values(self) -> np.ndarray:
-        return self.values[: self.train_len]
-
-    @property
-    def test_values(self) -> np.ndarray:
-        return self.values[self.train_len :]
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -186,12 +186,10 @@ class RunResult:
     the first ``steps[i]`` rows of series ``i`` are recorded: a series
     stops at its combiner's failure."""
 
-    dataset_name: str
     series_ids: tuple
     methods: tuple
     train_len: int
     horizon: int
-    block_size: int
     actuals: np.ndarray
     predictions: dict
     fit_counts: dict
@@ -477,12 +475,10 @@ def prequential_run(dataset: Dataset, cfg: EvalConfig, capture_weights: bool = F
     )
     series_ids = tuple(s.id for s in dataset.series)
     return RunResult(
-        dataset_name=dataset.name,
         series_ids=series_ids,
         methods=tuple(m.name for m in cfg.methods),
         train_len=dataset.train_len,
         horizon=cfg.horizon,
-        block_size=cfg.block_size,
         actuals=values[:, dataset.train_len : dataset.train_len + cfg.horizon].copy(),
         predictions=predictions,
         fit_counts=fit_counts,
@@ -523,11 +519,10 @@ def aggregate(values: Sequence[float]) -> dict:
 class EvalReport:
     """Per-series errors plus dataset-level aggregates per method.
 
-    Failed (series, method) pairs hold NaN and are excluded from the
-    aggregates; their counts travel in ``failure_counts``.
+    A (series, method) pair whose RMSE is not finite has failed: it is
+    excluded from the aggregates and counted in ``failure_counts``.
     """
 
-    dataset_name: str
     methods: tuple
     series_ids: tuple
     rmse_per_series: dict
@@ -537,40 +532,33 @@ class EvalReport:
 
 
 def build_report(run: RunResult) -> EvalReport:
-    """Score a campaign: RMSE/MAE per series, mean/median per method."""
+    """Score a campaign: RMSE/MAE per series, mean/median per method.
+
+    Each method is scored over its whole (n_series x horizon) matrix at
+    once, row by row as :func:`rmse` and :func:`mae` score one series. A
+    failed series holds a non-finite forecast, so its score is not
+    finite either."""
     rmse_ps: dict[str, np.ndarray] = {}
     mae_ps: dict[str, np.ndarray] = {}
     summary: dict[str, dict] = {}
     failure_counts: dict[str, int] = {}
-    failed_ids = {name: set(run.failures.get(name, {})) for name in run.methods}
     for name in run.methods:
-        r = np.full(len(run.series_ids), np.nan)
-        m = np.full(len(run.series_ids), np.nan)
-        for i, sid in enumerate(run.series_ids):
-            if sid in failed_ids[name]:
-                continue
-            r[i] = rmse(run.actuals[i], run.predictions[name][i])
-            m[i] = mae(run.actuals[i], run.predictions[name][i])
-        rmse_ps[name] = r
-        mae_ps[name] = m
+        error = run.predictions[name] - run.actuals
+        rmse_ps[name] = r = np.sqrt(np.mean(error**2, axis=1))
+        mae_ps[name] = m = np.mean(np.abs(error), axis=1)
         ok = np.isfinite(r)
         failure_counts[name] = int(np.sum(~ok))
-        if not np.any(ok):
+        if ok.any():
+            r_agg, m_agg = aggregate(r[ok]), aggregate(m[ok])
             summary[name] = {
-                "mean_rmse": float("nan"),
-                "median_rmse": float("nan"),
-                "mean_mae": float("nan"),
-                "median_mae": float("nan"),
+                "mean_rmse": r_agg["mean"],
+                "median_rmse": r_agg["median"],
+                "mean_mae": m_agg["mean"],
+                "median_mae": m_agg["median"],
             }
         else:
-            summary[name] = {
-                "mean_rmse": aggregate(r[ok])["mean"],
-                "median_rmse": aggregate(r[ok])["median"],
-                "mean_mae": aggregate(m[ok])["mean"],
-                "median_mae": aggregate(m[ok])["median"],
-            }
+            summary[name] = dict.fromkeys(("mean_rmse", "median_rmse", "mean_mae", "median_mae"), float("nan"))
     return EvalReport(
-        dataset_name=run.dataset_name,
         methods=run.methods,
         series_ids=run.series_ids,
         rmse_per_series=rmse_ps,
@@ -584,9 +572,6 @@ def build_report(run: RunResult) -> EvalReport:
 class SensitivityTable:
     """Mean metric per drift-parameter bucket per method."""
 
-    dataset_name: str
-    parameter: str
-    metric: str
     edges: np.ndarray
     counts: np.ndarray
     means: dict
@@ -616,7 +601,7 @@ def drift_sensitivity(dataset: Dataset, report: EvalReport, metric: str = "rmse"
     """Bucket series by drift point (sudden) or drift length
     (incremental) and average the chosen metric per bucket."""
     per_series = _per_series(report, metric)
-    parameter, values = _drift_parameter(dataset)
+    _, values = _drift_parameter(dataset)
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         edges = np.array([lo, hi])
@@ -635,15 +620,7 @@ def drift_sensitivity(dataset: Dataset, report: EvalReport, metric: str = "rmse"
             if np.any(mask):
                 bucket_means[bucket] = float(np.mean(vals[mask]))
         means[name] = bucket_means
-    return SensitivityTable(
-        dataset_name=dataset.name,
-        parameter=parameter,
-        metric=metric,
-        edges=edges,
-        counts=counts,
-        means=means,
-        methods=report.methods,
-    )
+    return SensitivityTable(edges=edges, counts=counts, means=means, methods=report.methods)
 
 
 def drift_region_split(dataset: Dataset, report: EvalReport, metric: str = "rmse") -> dict:
@@ -766,12 +743,10 @@ def load_traces(path: str | Path) -> RunResult:
         if not np.all(np.isfinite(predictions[name][i])):
             failures[name][sid] = "missing predictions in stored trace"
     return RunResult(
-        dataset_name=path.stem,
         series_ids=tuple(series_ids),
         methods=tuple(methods),
         train_len=train_len,
         horizon=horizon,
-        block_size=horizon,
         actuals=actuals,
         predictions=predictions,
         fit_counts={name: np.zeros(len(series_ids), dtype=int) for name in methods},

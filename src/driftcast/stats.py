@@ -177,8 +177,6 @@ def hochberg(p_values: Mapping[str, float], alpha: float = 0.05) -> tuple[dict, 
 class TestResult:
     """Everything the significance report needs."""
 
-    n_series: int
-    methods: tuple
     mean_ranks: dict
     friedman_statistic: float
     friedman_p: float
@@ -187,7 +185,6 @@ class TestResult:
     raw_p: dict
     adjusted_p: dict
     rejected: set
-    alpha: float
 
 
 def run_rank_tests(errors: np.ndarray, methods: Sequence[str], alpha: float = 0.05) -> TestResult:
@@ -202,8 +199,6 @@ def run_rank_tests(errors: np.ndarray, methods: Sequence[str], alpha: float = 0.
     control, z_values, raw_p = control_comparisons(mean_ranks, errors.shape[0])
     adjusted, rejected = hochberg(raw_p, alpha)
     return TestResult(
-        n_series=errors.shape[0],
-        methods=tuple(methods),
         mean_ranks=mean_ranks,
         friedman_statistic=stat,
         friedman_p=p,
@@ -212,5 +207,4 @@ def run_rank_tests(errors: np.ndarray, methods: Sequence[str], alpha: float = 0.
         raw_p=raw_p,
         adjusted_p=adjusted,
         rejected=rejected,
-        alpha=alpha,
     )

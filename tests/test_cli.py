@@ -108,6 +108,20 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             apply_seed_override(doc, env={"DRIFTCAST_SEED": "not-a-number"})
 
+    @pytest.mark.parametrize("simulate", [[1], {"sudden": 5}])
+    def test_seed_env_leaves_malformed_simulate_to_validation(self, tmp_path, monkeypatch, simulate):
+        doc = tiny_document()
+        doc["simulate"] = simulate
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert apply_seed_override(doc, env={"DRIFTCAST_SEED": "5"}) == doc
+        monkeypatch.setenv("DRIFTCAST_SEED", "5")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_preset_hashes_pinned(self):
+        assert config_hash(preset_config("desk")) == "8bd551f4d212fe1ec24aaf8525758e2f869331c21cfc4cc8e6e256d3ac8e9a50"
+        assert config_hash(preset_config("paper")) == "55d41813c0a6cc35379288a01e1d251d3ac3968a699f61305118a31468ac77b2"
+
     def test_load_requires_source(self):
         with pytest.raises(ConfigError):
             load_config_document(None, None)
@@ -263,3 +277,20 @@ class TestMainExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_every_method_failing_exits_3(self, tmp_path, capsys):
+        doc = {
+            "simulate": {"sudden": {"n_series": 5, "series_length": 40, "train_len": 5, "base_seed": 1}},
+            "methods": [{"name": "AR5_All"}, {"name": "AR3_All"}],
+            "evaluate": {"horizon": 10, "block_size": 10},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "sudden: no method scored" in captured.out
+        assert "warning: a method failed on 100.0% of series" in captured.err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure_fractions"] == {"sudden": {"AR5_All": 1.0, "AR3_All": 1.0}}
+        assert "need at least 2 methods, have 0" in (out / "reports" / "stats_sudden.csv").read_text()

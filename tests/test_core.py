@@ -113,11 +113,6 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             s.values[0] = 99.0
 
-    def test_split_views(self):
-        s = make_series(n=10, train_len=6)
-        assert len(s.train_values) == 6
-        assert len(s.test_values) == 4
-
 
 class TestDataset:
     def test_uniform_shape_required(self):

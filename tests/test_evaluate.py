@@ -440,6 +440,63 @@ class TestBatchEngine:
             assert np.all(np.isfinite(run.predictions[name]))
 
 
+    @staticmethod
+    def assert_failures_not_scored(run):
+        """Every failed (series, method) pair holds a non-finite forecast,
+        so ``build_report`` scores it as a failure."""
+        with np.errstate(all="ignore"):
+            report = build_report(run)
+        assert any(run.failures.values())
+        for name, failed in run.failures.items():
+            for sid in failed:
+                i = run.series_ids.index(sid)
+                assert not np.all(np.isfinite(run.predictions[name][i])), (name, sid)
+                assert not np.isfinite(report.rmse_per_series[name][i]), (name, sid)
+            assert report.failure_counts[name] >= len(failed)
+
+    def test_failed_local_fit_is_not_scored(self, monkeypatch):
+        ds = tiny_dataset(n_series=4)
+        victim = ds.series[1].values
+        real_fit = evaluate.fit_local_ar
+
+        def fit_failing_from_block_3(values, p, window="all"):
+            if len(values) >= ds.train_len + 20 and np.array_equal(values, victim[: len(values)]):
+                raise FitError("synthetic failure")
+            return real_fit(values, p, window)
+
+        monkeypatch.setattr(evaluate, "fit_local_ar", fit_failing_from_block_3)
+        run = prequential_run(ds, EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All", "AR5_200")))
+        sid = ds.series[1].id
+        assert {name: list(failed) for name, failed in run.failures.items()} == {"AR3_All": [sid], "AR5_200": [sid]}
+        assert np.all(np.isfinite(run.predictions["AR3_All"][1, :20]))  # forecasts made before the failure stay
+        self.assert_failures_not_scored(run)
+
+    def test_failed_global_fit_is_not_scored(self, monkeypatch):
+        ds = tiny_dataset(n_series=3)
+        real_fit = evaluate.fit_global_ar
+
+        def fit_failing_from_block_2(dataset, train_through, spec):
+            if train_through > dataset.train_len:
+                raise FitError("synthetic failure")
+            return real_fit(dataset, train_through, spec)
+
+        monkeypatch.setattr(evaluate, "fit_global_ar", fit_failing_from_block_2)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("Plain_All", "GDW", "ECW", "AR3_All"), global_lags=3)
+        run = prequential_run(ds, cfg)
+        for name in ("Plain_All", "GDW", "ECW"):
+            assert len(run.failures[name]) == len(ds), name
+            assert np.all(np.isfinite(run.predictions[name][:, :10])), name
+        assert run.failures["AR3_All"] == {}
+        self.assert_failures_not_scored(run)
+
+    def test_diverged_combiner_is_not_scored(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "fit_global_ar", two_lag_sum_models)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("ECW", "GDW", "Plain_All"), global_lags=3)
+        run = prequential_run(spiked_dataset(), cfg)
+        assert list(run.failures["ECW"]) == list(run.failures["GDW"]) == ["s1"]
+        self.assert_failures_not_scored(run)
+
+
 class TestEvalConfig:
     def test_divisibility(self):
         with pytest.raises(ConfigError):
@@ -585,12 +642,10 @@ def reference_weight_traces(run, kind):
 def hand_made_run(series_ids, train_len, actuals, predictions, weight_traces=None):
     n, horizon = actuals.shape
     return RunResult(
-        dataset_name="hand-made",
         series_ids=tuple(series_ids),
         methods=tuple(predictions),
         train_len=train_len,
         horizon=horizon,
-        block_size=horizon,
         actuals=actuals,
         predictions=predictions,
         fit_counts={name: np.zeros(n, dtype=int) for name in predictions},
@@ -785,3 +840,38 @@ class TestCombinerBank:
                 assert np.all(np.abs(w_p[finite] + w_a[finite] - 1.0) <= 4 * np.finfo(float).eps)
             if flags.get("clamp"):
                 assert not np.any((w_p < 0.0) | (w_p > 1.0) | (w_a < 0.0) | (w_a > 1.0))
+
+
+class TestBuildReport:
+    """The array scoring of ``build_report`` against the scalar
+    ``rmse``/``mae`` oracles, one series at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_oracles(self, data):
+        n, horizon = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 300))
+        ids = [f"s{i}" for i in range(n)]
+        actuals = data.draw(arrays(np.float64, (n, horizon), elements=st.floats(-1e6, 1e6)))
+        predictions, failures = {}, {}
+        for name in data.draw(st.lists(st.sampled_from(ALL_METHODS), min_size=1, max_size=3, unique=True)):
+            # moderate forecasts with some edge values (NaN, +-inf, huge) among them
+            values = st.floats(-1e6, 1e6) | st.sampled_from(EDGE_PREDICTIONS + (1e308, -1e308))
+            predictions[name] = data.draw(arrays(np.float64, (n, horizon), elements=values))
+            # a failed series keeps the forecasts made before its failure, then NaN
+            failed = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, horizon - 1)))
+            for i, since in failed.items():
+                predictions[name][i, since:] = np.nan
+            failures[name] = {ids[i]: "failed" for i in sorted(failed)}
+        run = dataclasses.replace(hand_made_run(ids, 10, actuals, predictions), failures=failures)
+        with np.errstate(all="ignore"):
+            report = build_report(run)
+            for name, forecasts in predictions.items():
+                r = np.array([rmse(a, f) for a, f in zip(actuals, forecasts)])
+                m = np.array([mae(a, f) for a, f in zip(actuals, forecasts)])
+                assert np.array_equal(report.rmse_per_series[name], r, equal_nan=True)
+                assert np.array_equal(report.mae_per_series[name], m, equal_nan=True)
+                ok = np.isfinite(r)
+                assert report.failure_counts[name] == n - ok.sum()
+                expected = [np.mean(r[ok]), np.median(r[ok]), np.mean(m[ok]), np.median(m[ok])] if ok.any() else [np.nan] * 4
+                got = [report.summary[name][k] for k in ("mean_rmse", "median_rmse", "mean_mae", "median_mae")]
+                assert np.array_equal(got, expected, equal_nan=True), name
