@@ -27,8 +27,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -69,30 +70,36 @@ FAILURE_EXIT_THRESHOLD = 0.01
 
 PRESETS = ("desk", "paper")
 
-_SIM_KEYS = {
-    "n_series": int,
-    "series_length": int,
-    "train_len": int,
-    "ar_coeffs": list,
-    "ar_coeffs_2": list,
-    "mean": (int, float),
-    "mean_2": (int, float),
-    "mean_2_high": (int, float),
-    "noise_sd": (int, float),
-    "burn_in": int,
-    "base_seed": int,
+
+def _is_number(value) -> bool:
+    # bool is an int subclass; a boolean never counts as a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# config field type -> its JSON type and the check of a parsed value;
+# Optional[float] rejects null, as a key left out already means None
+_JSON_TYPES = {
+    int: ("an integer", lambda value: _is_number(value) and isinstance(value, int)),
+    float: ("a number", _is_number),
+    Optional[float]: ("a number", _is_number),
+    bool: ("a boolean", lambda value: isinstance(value, bool)),
+    str: ("a string", lambda value: isinstance(value, str)),
+    list: ("a list", lambda value: isinstance(value, list)),
+    tuple: ("a list of numbers", lambda value: isinstance(value, list) and all(map(_is_number, value))),
 }
-_METHOD_KEYS = {"name": str, "eta": (int, float), "true_gradient": bool, "clamp": bool}
-_EVAL_KEYS = {
-    "horizon": int,
-    "block_size": int,
-    "global_lags": int,
-    "ridge_lambda": (int, float),
-    "alpha0": (int, float),
-    "beta": (int, float),
-    "literal_value_scaling": bool,
-}
-_STATS_KEYS = {"alpha": (int, float)}
+
+
+def _field_types(cls, *skip: str) -> dict:
+    """Name -> type of each field of a config dataclass, in field order,
+    but those in ``skip``."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+_SIM_KEYS = _field_types(SimConfig, "drift_kind")
+_METHOD_KEYS = _field_types(MethodSpec)
+_EVAL_KEYS = _field_types(EvalConfig, "methods")
+_STATS_KEYS = {"alpha": float}
 _OUTPUT_KEYS = {"directory": str, "formats": list, "weight_traces": bool}
 _TOP_KEYS = ("simulate", "methods", "evaluate", "stats", "output")
 
@@ -155,20 +162,18 @@ def deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _check_keys(section: dict, allowed: dict, where: str) -> None:
+def _check_keys(section, allowed: dict, where: str) -> dict:
+    """``section`` if it is an object whose keys are all in ``allowed``
+    (key -> field type), each holding a JSON value of its type."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     for key, value in section.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        expected = allowed[key]
-        if expected is bool:
-            ok = isinstance(value, bool)
-        elif expected is int or expected == (int, float):
-            # bool is an int subclass; reject it where a number is expected
-            ok = isinstance(value, expected) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, expected)
-        if not ok:
-            raise ConfigError(f"{where}.{key} has wrong type {type(value).__name__}")
+        json_type, check = _JSON_TYPES[allowed[key]]
+        if not check(value):
+            raise ConfigError(f"{where}.{key} must be {json_type}")
+    return section
 
 
 @dataclass(frozen=True)
@@ -199,39 +204,25 @@ def validate_config(document: dict) -> RunConfig:
     for kind, section in sim_section.items():
         if kind not in SIM_DRIFT_KINDS:
             raise ConfigError(f"unknown drift kind {kind!r} in simulate section")
-        if not isinstance(section, dict):
-            raise ConfigError(f"simulate.{kind} must be an object")
-        _check_keys(section, _SIM_KEYS, f"simulate.{kind}")
-        sim_configs[kind] = SimConfig(drift_kind=kind, **section)
+        sim_configs[kind] = SimConfig(drift_kind=kind, **_check_keys(section, _SIM_KEYS, f"simulate.{kind}"))
 
     methods_section = document.get("methods")
     if not isinstance(methods_section, list) or not methods_section:
         raise ConfigError("methods must be a non-empty list")
     methods = []
     for i, entry in enumerate(methods_section):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError(f"methods[{i}] must be an object with a 'name'")
-        _check_keys(entry, _METHOD_KEYS, f"methods[{i}]")
+        if "name" not in _check_keys(entry, _METHOD_KEYS, f"methods[{i}]"):
+            raise ConfigError(f"methods[{i}] has no 'name'")
         methods.append(MethodSpec(**entry))
 
-    eval_section = document.get("evaluate", {})
-    if not isinstance(eval_section, dict):
-        raise ConfigError("evaluate section must be an object")
-    _check_keys(eval_section, _EVAL_KEYS, "evaluate")
+    eval_section = _check_keys(document.get("evaluate", {}), _EVAL_KEYS, "evaluate")
     eval_config = EvalConfig(methods=tuple(methods), **eval_section)
-
-    stats_section = document.get("stats", {})
-    if not isinstance(stats_section, dict):
-        raise ConfigError("stats section must be an object")
-    _check_keys(stats_section, _STATS_KEYS, "stats")
+    stats_section = _check_keys(document.get("stats", {}), _STATS_KEYS, "stats")
     alpha = float(stats_section.get("alpha", 0.05))
     if not 0.0 < alpha < 1.0:
         raise ConfigError("stats.alpha must be in (0, 1)")
 
-    output_section = document.get("output", {})
-    if not isinstance(output_section, dict):
-        raise ConfigError("output section must be an object")
-    _check_keys(output_section, _OUTPUT_KEYS, "output")
+    output_section = _check_keys(document.get("output", {}), _OUTPUT_KEYS, "output")
     formats = tuple(output_section.get("formats", ["csv", "md"]))
     for fmt in formats:
         if fmt not in ("csv", "md"):
@@ -300,46 +291,36 @@ def dataset_paths(out_dir: Path, kind: str) -> tuple[Path, Path]:
     return csv_path, sidecar_path(csv_path)
 
 
+def _simulate(sim: SimConfig, out_dir: Path) -> Dataset:
+    """Generate one kind's dataset and write it under ``out_dir``."""
+    dataset = make_dataset(sim)
+    (out_dir / "datasets").mkdir(parents=True, exist_ok=True)
+    save_dataset(dataset, dataset_paths(out_dir, sim.drift_kind)[0])
+    return dataset
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     """Generate and write every configured dataset. Idempotent:
     identical configs produce byte-identical files."""
     if not cfg.sim_configs:
         raise ConfigError("config has no simulate section")
-    (out_dir / "datasets").mkdir(parents=True, exist_ok=True)
-    datasets = {}
-    for kind, sim in cfg.sim_configs.items():
-        dataset = make_dataset(sim)
-        csv_path, _ = dataset_paths(out_dir, kind)
-        save_dataset(dataset, csv_path)
-        datasets[kind] = dataset
-    return datasets
+    return {kind: _simulate(sim, out_dir) for kind, sim in cfg.sim_configs.items()}
 
 
-def _load_or_simulate(cfg: RunConfig, out_dir: Path) -> dict:
-    """Reuse datasets on disk when they match the config; otherwise
-    (re)simulate."""
-    datasets = {}
-    stale = {}
-    for kind, sim in cfg.sim_configs.items():
-        csv_path, meta_path = dataset_paths(out_dir, kind)
-        if csv_path.exists() and meta_path.exists():
-            dataset = load_dataset(csv_path)
-            expected = json.loads(json.dumps(asdict(sim)))
-            if dataset.generator_config == expected:
-                datasets[kind] = dataset
-                continue
-        stale[kind] = sim
-    if stale:
-        datasets.update(cmd_simulate(replace(cfg, sim_configs=stale), out_dir))
-    if not datasets:
-        raise ConfigError("no datasets available: add a simulate section or dataset files")
-    return {kind: datasets[kind] for kind in cfg.sim_configs if kind in datasets}
+def _load_or_simulate(sim: SimConfig, out_dir: Path) -> Dataset:
+    """One kind's dataset: the one on disk when it was generated from
+    ``sim``, otherwise a new one, written over it."""
+    csv_path, meta_path = dataset_paths(out_dir, sim.drift_kind)
+    if csv_path.exists() and meta_path.exists():
+        dataset = load_dataset(csv_path)
+        if dataset.generator_config == json.loads(json.dumps(asdict(sim))):
+            return dataset
+    return _simulate(sim, out_dir)
 
 
 @dataclass
 class KindResults:
     dataset: Dataset
-    run: RunResult
     report: EvalReport
     test: TestResult | None
     stats_note: str | None
@@ -360,34 +341,44 @@ def score_kind(dataset: Dataset, run: RunResult, alpha: float) -> KindResults:
             note = "statistical testing skipped: fewer than 2 series scored by all methods"
         else:
             test = run_rank_tests(errors, list(scored), alpha)
-    return KindResults(dataset=dataset, run=run, report=report, test=test, stats_note=note)
+    return KindResults(dataset=dataset, report=report, test=test, stats_note=note)
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
-    """Full campaign: simulate or load datasets, evaluate every method,
-    write traces, reports, and the manifest. Returns per-kind results
-    keyed by drift kind."""
+    """Full campaign, one drift kind at a time: load or simulate the
+    kind's dataset, evaluate every method, write its traces and score
+    it; then write the reports and the manifest. Returns per-kind
+    results keyed by drift kind."""
+    if not cfg.sim_configs:
+        raise ConfigError("config has no simulate section")
+    (out_dir / "traces").mkdir(parents=True, exist_ok=True)
+    # each phase's seconds, summed over the kinds
+    timings = dict.fromkeys(("datasets", "evaluate", "traces", "reports"), 0.0)
+    results: dict[str, KindResults] = {}
+    files: list[dict] = []
+    for kind, sim in cfg.sim_configs.items():
+        t0 = time.perf_counter()
+        dataset = _load_or_simulate(sim, out_dir)
+        t_sim = time.perf_counter()
+        run = prequential_run(dataset, cfg.eval_config, capture_weights=cfg.weight_traces)
+        results[kind] = score_kind(dataset, run, cfg.alpha)
+        t_eval = time.perf_counter()
+        written = [write_traces(out_dir / "traces" / f"{kind}.csv", run)]
+        if cfg.weight_traces and run.weight_traces:
+            written.extend(write_weight_traces(out_dir / "traces", kind, run))
+        files.extend(_inventory(out_dir, written))
+        del run  # free this kind's forecasts before the next kind's evaluation
+        t_traces = time.perf_counter()
+        timings["datasets"] += t_sim - t0
+        timings["evaluate"] += t_eval - t_sim
+        timings["traces"] += t_traces - t_eval
+
     t0 = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    datasets = _load_or_simulate(cfg, out_dir)
-    t_sim = time.perf_counter()
-
-    results = {
-        kind: score_kind(dataset, prequential_run(dataset, cfg.eval_config, capture_weights=cfg.weight_traces), cfg.alpha)
-        for kind, dataset in datasets.items()
-    }
-    t_eval = time.perf_counter()
-
-    files = _inventory(out_dir, _write_traces(cfg, out_dir, results))
-    t_traces = time.perf_counter()
-
     report_files = render_reports(cfg, out_dir, results)
     for kind in results:
-        csv_path, meta_path = dataset_paths(out_dir, kind)
-        if csv_path.exists():
-            report_files.extend([csv_path, meta_path])
+        report_files.extend(dataset_paths(out_dir, kind))
     files.extend(_inventory(out_dir, report_files))
-    t_report = time.perf_counter()
+    timings["reports"] = time.perf_counter() - t0
 
     manifest = {
         "config_hash": config_hash(cfg.document),
@@ -396,12 +387,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "timings_seconds": {
-            "datasets": round(t_sim - t0, 3),
-            "evaluate": round(t_eval - t_sim, 3),
-            "traces": round(t_traces - t_eval, 3),
-            "reports": round(t_report - t_traces, 3),
-        },
+        "timings_seconds": {phase: round(seconds, 3) for phase, seconds in timings.items()},
         "failure_fractions": {
             kind: {
                 name: res.report.failure_counts[name] / len(res.report.series_ids)
@@ -515,18 +501,6 @@ def _md_table(columns: tuple, rows: list[list]) -> list[str]:
     ]
 
 
-def _write_traces(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
-    (out_dir / "traces").mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for kind, res in results.items():
-        trace_path = out_dir / "traces" / f"{kind}.csv"
-        write_traces(trace_path, res.run)
-        written.append(trace_path)
-        if cfg.weight_traces and res.run.weight_traces:
-            written.extend(write_weight_traces(out_dir / "traces", kind, res.run))
-    return written
-
-
 def _inventory(out_dir: Path, paths: list[Path]) -> list[dict]:
     return [
         {
@@ -560,7 +534,7 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
             friedman = f"Friedman statistic {res.test.friedman_statistic:.4f}, p {format_p(res.test.friedman_p)}"
             stats_md += [heading, f"{friedman}; control: {res.test.control}\n", *_md_table(STATS_COLUMNS, rows)]
             tables[f"stats_{kind}.csv"] = ([column for column, _ in STATS_COLUMNS], rows)
-        if res.test is not None and kind in ("sudden", "incremental"):
+        if kind in ("sudden", "incremental"):
             for metric in ("rmse", "mae"):
                 table = drift_sensitivity(res.dataset, res.report, metric=metric)
                 methods = report_order(table.methods)
@@ -582,6 +556,23 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
     return written
 
 
+def _in_dataset_order(run: RunResult, dataset: Dataset, trace_path: Path) -> RunResult:
+    """``run`` with its series in ``dataset``'s order, matched by id:
+    the order ``cmd_run`` scored them in, and the one
+    ``drift_sensitivity`` pairs with drift parameters. A trace file may
+    hold its rows in any order."""
+    ids = tuple(s.id for s in dataset.series)
+    if set(ids) != set(run.series_ids):
+        raise ConfigError(f"trace file {trace_path} does not hold the series of its dataset")
+    position = {sid: i for i, sid in enumerate(run.series_ids)}
+    order = [position[sid] for sid in ids]
+    run.series_ids = ids
+    run.actuals = run.actuals[order]
+    for name in run.methods:
+        run.predictions[name] = run.predictions[name][order]
+    return run
+
+
 def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Re-render reports from stored traces and dataset sidecars."""
     traces_dir = out_dir / "traces"
@@ -592,8 +583,8 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
         trace_path = traces_dir / f"{kind}.csv"
         if not trace_path.exists():
             continue
-        run = load_traces(trace_path)
-        results[kind] = score_kind(load_dataset(dataset_paths(out_dir, kind)[0]), run, cfg.alpha)
+        dataset = load_dataset(dataset_paths(out_dir, kind)[0])
+        results[kind] = score_kind(dataset, _in_dataset_order(load_traces(trace_path), dataset, trace_path), cfg.alpha)
     if not results:
         raise ConfigError(f"no trace files found in {traces_dir}")
     return render_reports(cfg, out_dir, results)

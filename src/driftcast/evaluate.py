@@ -184,7 +184,11 @@ class RunResult:
     sub-model forecasts, ``w_p``, ``w_a`` and the pairing's combined
     forecast of each step, pairings in ``DEFAULT_PAIRINGS`` order. Only
     the first ``steps[i]`` rows of series ``i`` are recorded: a series
-    stops at its combiner's failure."""
+    stops at its combiner's failure.
+
+    A run loaded from a trace file (:func:`load_traces`) carries neither
+    fit counts nor failures: both dicts are empty, and a failed series
+    shows only as a non-finite forecast."""
 
     series_ids: tuple
     methods: tuple
@@ -691,7 +695,8 @@ def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> lis
 
 
 def load_traces(path: str | Path) -> RunResult:
-    """Rebuild a RunResult (minus fit counts) from a trace CSV."""
+    """Rebuild a RunResult from a trace CSV, without fit counts or
+    failures."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"trace file missing: {path}")
@@ -720,7 +725,6 @@ def load_traces(path: str | Path) -> RunResult:
     predictions = {name: np.full((len(series_ids), horizon), np.nan) for name in methods}
     actuals = np.full((len(series_ids), horizon), np.nan)
     first_actuals: dict[int, tuple] = {}  # series position -> its first method's actuals
-    failures: dict[str, dict] = {name: {} for name in methods}
     positions = None
     for (name, sid), rows in rows_by_key.items():
         rows.sort()  # by t; a repeated t is rejected below
@@ -740,8 +744,6 @@ def load_traces(path: str | Path) -> RunResult:
         elif actual != first and not np.array_equal(first, actual, equal_nan=True):
             raise ConfigError(f"actuals of series {sid!r} differ between methods in {path}")
         predictions[name][i] = prediction
-        if not np.all(np.isfinite(predictions[name][i])):
-            failures[name][sid] = "missing predictions in stored trace"
     return RunResult(
         series_ids=tuple(series_ids),
         methods=tuple(methods),
@@ -749,6 +751,6 @@ def load_traces(path: str | Path) -> RunResult:
         horizon=horizon,
         actuals=actuals,
         predictions=predictions,
-        fit_counts={name: np.zeros(len(series_ids), dtype=int) for name in methods},
-        failures=failures,
+        fit_counts={},
+        failures={},
     )

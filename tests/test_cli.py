@@ -18,6 +18,7 @@ from driftcast.cli import (
     validate_config,
 )
 from driftcast.core import ConfigError
+from driftcast.evaluate import prequential_run
 
 
 def tiny_document(**overrides):
@@ -70,6 +71,37 @@ class TestValidation:
         doc["evaluate"]["horizon"] = True
         with pytest.raises(ConfigError):
             validate_config(doc)
+
+    @pytest.mark.parametrize("key", ["ar_coeffs", "ar_coeffs_2"])
+    @pytest.mark.parametrize("coeffs", [["x", -0.5, 0.1], [[0.5], -0.5, 0.1], [True, -0.5, 0.1]])
+    def test_coefficients_must_be_numbers(self, tmp_path, key, coeffs):
+        doc = tiny_document()
+        doc["simulate"]["sudden"][key] = coeffs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"simulate": {"sudden": {"mean_2_high": None}}},
+            {"simulate": {"sudden": {"noise_sd": False}}},
+            {"simulate": {"sudden": {"n_series": 4.0}}},
+            {"methods": [{"name": "GDW", "eta": True}]},
+            {"methods": [{"name": "GDW", "clamp": 1}]},
+            {"evaluate": {"literal_value_scaling": 0}},
+            {"stats": {"alpha": None}},
+            {"simulate": {"sudden": [1]}},
+            {"methods": [5]},
+            {"methods": [{"eta": 0.1}]},
+            {"evaluate": [1]},
+            {"stats": 0.05},
+            {"output": "out"},
+        ],
+    )
+    def test_json_types(self, override):
+        with pytest.raises(ConfigError):
+            validate_config(tiny_document(**override))
 
     def test_method_flags(self):
         doc = tiny_document()
@@ -182,6 +214,16 @@ class TestRunCommand:
         text = (out / "reports" / "stats_sudden.csv").read_text()
         assert "skipped" in text
 
+    def test_single_method_writes_sensitivity(self, tmp_path):
+        doc = tiny_document()
+        doc["methods"] = [{"name": "AR3_All"}]
+        out = tmp_path / "run"
+        cmd_run(validate_config(doc), out)
+        listed = {entry["path"] for entry in json.loads((out / "manifest.json").read_text())["files"]}
+        for metric in ("rmse", "mae"):
+            assert f"reports/sensitivity_sudden_{metric}.csv" in listed
+            assert f"reports/sensitivity_gradual_{metric}.csv" not in listed
+
     def test_report_rerender_matches(self, tmp_path):
         cfg = validate_config(tiny_document())
         out = tmp_path / "run"
@@ -190,6 +232,54 @@ class TestRunCommand:
         (out / "reports" / "accuracy_sudden.csv").unlink()
         cmd_report(cfg, out)
         assert (out / "reports" / "accuracy_sudden.csv").read_bytes() == before
+
+    def test_report_pairs_series_by_id(self, tmp_path):
+        cfg = validate_config(tiny_document())
+        out = tmp_path / "run"
+        cmd_run(cfg, out)
+        reports = {path.name: path.read_bytes() for path in (out / "reports").iterdir()}
+        trace = out / "traces" / "sudden.csv"
+        header, *rows = trace.read_text().splitlines(keepends=True)
+        trace.write_text(header + "".join(reversed(rows)))
+        cmd_report(cfg, out)
+        assert {path.name: path.read_bytes() for path in (out / "reports").iterdir()} == reports
+
+    def test_report_rejects_trace_of_other_series(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        trace = out / "traces" / "sudden.csv"
+        header, first, *rows = trace.read_text().splitlines(keepends=True)
+        missing = first.split(",")[0]
+        trace.write_text(header + "".join(row for row in [first, *rows] if row.split(",")[0] != missing))
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 1
+        assert str(trace) in capsys.readouterr().err
+
+    def test_rerun_resimulates_only_changed_kinds(self, tmp_path):
+        doc = tiny_document()
+        out = tmp_path / "run"
+        cmd_run(validate_config(doc), out)
+        kept = ["datasets/gradual.csv", "datasets/gradual.meta.json", "traces/gradual.csv"]
+        before = {rel: ((out / rel).read_bytes(), (out / rel).stat().st_mtime_ns) for rel in kept}
+        sudden = (out / "datasets" / "sudden.csv").read_bytes()
+        doc["simulate"]["sudden"]["base_seed"] += 1
+        cmd_run(validate_config(doc), out)
+        assert (out / "datasets" / "sudden.csv").read_bytes() != sudden
+        for rel in kept[:2]:  # reused, not written again
+            assert ((out / rel).read_bytes(), (out / rel).stat().st_mtime_ns) == before[rel]
+        # every run evaluates every kind and writes its trace again
+        assert (out / kept[2]).read_bytes() == before[kept[2]][0]
+
+    def test_bad_later_dataset_fails_after_earlier_traces(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        (out / "datasets" / "gradual.csv").write_text("series_id,t,value\ns0,1,x\n")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert (out / "traces" / "sudden.csv").exists()
+        assert not (out / "traces" / "gradual.csv").exists()
 
     def test_accuracy_report_layout(self, tmp_path):
         doc = tiny_document()
@@ -245,7 +335,8 @@ class TestRunCommand:
         assert header == "series_id,t,y,yhat_partial,yhat_all,w_p,w_a,yhat_combined"
         expected = {}
         for kind, res in results.items():
-            expected.update(reference_weight_traces(res.run, kind))
+            run = prequential_run(res.dataset, cfg.eval_config, capture_weights=True)
+            expected.update(reference_weight_traces(run, kind))
         assert {path.name: path.read_bytes() for path in (out / "traces").glob("weights_*")} == expected
 
 
