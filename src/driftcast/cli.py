@@ -299,22 +299,30 @@ def _simulate(sim: SimConfig, out_dir: Path) -> Dataset:
     return dataset
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict:
-    """Generate and write every configured dataset. Idempotent:
+def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict[str, tuple[int, int]]:
+    """Generate and write every configured dataset, one kind at a time,
+    and return each kind's (n_series, series_length). Idempotent:
     identical configs produce byte-identical files."""
     if not cfg.sim_configs:
         raise ConfigError("config has no simulate section")
-    return {kind: _simulate(sim, out_dir) for kind, sim in cfg.sim_configs.items()}
+    shapes = {}
+    for kind, sim in cfg.sim_configs.items():
+        dataset = _simulate(sim, out_dir)
+        shapes[kind] = (len(dataset), dataset.series_length)
+        del dataset  # free this kind's series before the next kind's batch
+    return shapes
 
 
 def _load_or_simulate(sim: SimConfig, out_dir: Path) -> Dataset:
-    """One kind's dataset: the one on disk when it was generated from
-    ``sim``, otherwise a new one, written over it."""
+    """One kind's dataset: the one on disk when its sidecar says it was
+    generated from ``sim``, otherwise a new one, written over it. The
+    CSV is read only when the sidecar's config matches."""
     csv_path, meta_path = dataset_paths(out_dir, sim.drift_kind)
     if csv_path.exists() and meta_path.exists():
-        dataset = load_dataset(csv_path)
-        if dataset.generator_config == json.loads(json.dumps(asdict(sim))):
-            return dataset
+        with open(meta_path, encoding="utf-8") as fh:
+            stored = json.load(fh).get("generator_config")
+        if stored == json.loads(json.dumps(asdict(sim))):
+            return load_dataset(csv_path)
     return _simulate(sim, out_dir)
 
 
@@ -624,9 +632,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = validate_config(document)
         out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
         if args.command == "simulate":
-            datasets = cmd_simulate(cfg, out_dir)
-            for kind, dataset in datasets.items():
-                print(f"wrote {kind}: {len(dataset)} series x {dataset.series_length}")
+            for kind, (n_series, length) in cmd_simulate(cfg, out_dir).items():
+                print(f"wrote {kind}: {n_series} series x {length}")
             return 0
         if args.command == "run":
             for kind, res in cmd_run(cfg, out_dir).items():

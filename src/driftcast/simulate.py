@@ -58,10 +58,12 @@ def check_stationary(coeffs: Sequence[float]) -> None:
     coeffs = require_finite(coeffs, "ar_coeffs")
     if coeffs.size == 0:
         raise ConfigError("ar_coeffs must be non-empty")
-    # roots of 1 - phi_1 z - ... - phi_p z^p, highest degree first
-    poly = np.concatenate([-coeffs[::-1], [1.0]])
-    roots = np.roots(poly)
-    if roots.size and np.any(np.abs(roots) <= 1.0 + 1e-9):
+    # The roots z of 1 - phi_1 z - ... - phi_p z^p are the reciprocals of
+    # the roots of z^p - phi_1 z^(p-1) - ... - phi_p, whose leading
+    # coefficient is 1: a tiny phi_p leaves a tiny root there instead of
+    # a division by phi_p that overflows.
+    inverse_roots = np.roots(np.concatenate([[1.0], -coeffs]))
+    if np.any(np.abs(inverse_roots) * (1.0 + 1e-9) >= 1.0):
         raise ConfigError(f"AR coefficients {coeffs.tolist()} are not stationary")
 
 
@@ -136,7 +138,11 @@ class ArProcess:
 
 
 def gen_ar(proc: ArProcess, n: int, burn_in: int = 0) -> np.ndarray:
-    """Simulate ``n`` values of the process after discarding ``burn_in``."""
+    """Simulate ``n`` values of the process after discarding ``burn_in``.
+
+    The scalar reference for the series-batched recursion that
+    :func:`make_dataset` runs: tests require its output bit for bit.
+    """
     check_stationary(proc.coeffs)
     if n < 1 or burn_in < 0:
         raise ConfigError("need n >= 1 and burn_in >= 0")
@@ -225,6 +231,9 @@ def component_pair(cfg: SimConfig, series_seed: int) -> tuple[np.ndarray, np.nda
     post-drift one uses ``ar_coeffs_2`` around this series' post-drift
     mean. Noise streams are independent; ts1 starts at its mean, ts2
     from Gaussian draws under its own stream.
+
+    The scalar reference for :func:`make_dataset`, which draws the same
+    streams and runs both recursions across all series at once.
     """
     p = len(cfg.ar_coeffs)
     proc1 = ArProcess(
@@ -269,10 +278,67 @@ def draw_drift_meta(cfg: SimConfig, series_seed: int) -> DriftMeta:
     return DriftMeta(kind="gradual", seed=spawned_seed(series_seed, _STREAM_GRADUAL))
 
 
-def make_series(cfg: SimConfig, ordinal: int) -> TimeSeries:
-    """Generate series ``ordinal`` of the dataset described by ``cfg``."""
-    series_seed = derive_series_seed(cfg.base_seed, ordinal)
-    ts1, ts2 = component_pair(cfg, series_seed)
+def _ar_batch(
+    coeffs: tuple,
+    noise_sd: float,
+    initial: np.ndarray,
+    seeds: Sequence[int],
+    means: np.ndarray,
+    n: int,
+    burn_in: int,
+) -> np.ndarray:
+    """:func:`gen_ar` for ``k`` trajectories of one AR process at once.
+
+    Trajectory j starts from ``initial[j]`` (oldest first), draws its
+    noise from its own generator seeded with ``seeds[j]`` and runs
+    around ``means[j]``. The recursion runs time-major with gen_ar's
+    operations in gen_ar's order, elementwise across trajectories, so
+    each row of the ``(k, n)`` result equals gen_ar's output bit for
+    bit, whatever else is in the batch.
+    """
+    check_stationary(coeffs)
+    p = len(coeffs)
+    xs = np.empty((p + burn_in + n, len(seeds)))
+    xs[:p] = (initial - means[:, None]).T
+    for j, seed in enumerate(seeds):
+        xs[p:, j] = np.random.default_rng(seed).normal(0.0, noise_sd, size=burn_in + n)
+    term = np.empty(len(seeds))
+    for t in range(p, len(xs)):
+        x = xs[t]  # holds this step's noise
+        for q, phi in enumerate(coeffs):
+            np.multiply(phi, xs[t - 1 - q], out=term)
+            x += term
+    out = xs[p + burn_in :]
+    # as gen_ar, add only a non-zero mean, so the two agree operation for operation
+    shifted = means != 0.0
+    if shifted.any():
+        out[:, shifted] += means[shifted]
+    return out.T
+
+
+def _batch_series(cfg: SimConfig, ordinals: Sequence[int]) -> list[TimeSeries]:
+    """Series ``ordinals`` of the dataset described by ``cfg``.
+
+    Every draw stays per series, as in :func:`component_pair`; only the
+    two AR recursions (ts1 and ts2, which have different coefficients)
+    run across the batch.
+    """
+    seeds = [derive_series_seed(cfg.base_seed, i) for i in ordinals]
+    p, k = len(cfg.ar_coeffs), len(seeds)
+    sd, n, burn_in = cfg.noise_sd, cfg.series_length, cfg.burn_in
+    ts1_seeds = [spawned_seed(s, _STREAM_TS1) for s in seeds]
+    ts1 = _ar_batch(cfg.ar_coeffs, sd, np.full((k, p), cfg.mean), ts1_seeds, np.full(k, cfg.mean), n, burn_in)
+    means_2 = [series_mean_2(cfg, s) for s in seeds]
+    init_2 = [
+        np.random.default_rng(spawned_seed(s, _STREAM_TS2_INIT)).normal(m, sd, size=p) for s, m in zip(seeds, means_2)
+    ]
+    ts2_seeds = [spawned_seed(s, _STREAM_TS2) for s in seeds]
+    ts2 = _ar_batch(cfg.ar_coeffs_2, sd, np.array(init_2), ts2_seeds, np.array(means_2), n, burn_in)
+    return [_splice(cfg, i, s, ts1[j], ts2[j]) for j, (i, s) in enumerate(zip(ordinals, seeds))]
+
+
+def _splice(cfg: SimConfig, ordinal: int, series_seed: int, ts1: np.ndarray, ts2: np.ndarray) -> TimeSeries:
+    """Draw one series' drift placement and combine its trajectories."""
     meta = draw_drift_meta(cfg, series_seed)
     if meta.kind == "sudden":
         combined = combine_sudden(ts1, ts2, meta.t_drift)
@@ -288,7 +354,12 @@ def make_series(cfg: SimConfig, ordinal: int) -> TimeSeries:
     )
 
 
+def make_series(cfg: SimConfig, ordinal: int) -> TimeSeries:
+    """Generate series ``ordinal`` of the dataset described by ``cfg``."""
+    return _batch_series(cfg, [ordinal])[0]
+
+
 def make_dataset(cfg: SimConfig, name: str | None = None) -> Dataset:
     """Generate the full dataset for ``cfg``, ordered by series ordinal."""
-    series = tuple(make_series(cfg, i) for i in range(cfg.n_series))
+    series = tuple(_batch_series(cfg, range(cfg.n_series)))
     return Dataset(name=name or cfg.drift_kind, series=series, generator_config=asdict(cfg))

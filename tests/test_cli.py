@@ -1,9 +1,12 @@
 import hashlib
 import json
 
+from pathlib import Path
+
 import pytest
 from test_evaluate import reference_weight_traces
 
+from driftcast import cli
 from driftcast.cli import (
     PRESETS,
     apply_seed_override,
@@ -256,7 +259,7 @@ class TestRunCommand:
         assert main(["report", "--config", str(path), "--out", str(out)]) == 1
         assert str(trace) in capsys.readouterr().err
 
-    def test_rerun_resimulates_only_changed_kinds(self, tmp_path):
+    def test_rerun_resimulates_only_changed_kinds(self, tmp_path, monkeypatch):
         doc = tiny_document()
         out = tmp_path / "run"
         cmd_run(validate_config(doc), out)
@@ -264,7 +267,12 @@ class TestRunCommand:
         before = {rel: ((out / rel).read_bytes(), (out / rel).stat().st_mtime_ns) for rel in kept}
         sudden = (out / "datasets" / "sudden.csv").read_bytes()
         doc["simulate"]["sudden"]["base_seed"] += 1
+        loaded = []
+        real_load = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset", lambda path: loaded.append(Path(path).name) or real_load(path))
         cmd_run(validate_config(doc), out)
+        # the stale sudden CSV is not parsed: its sidecar already differs
+        assert loaded == ["gradual.csv"]
         assert (out / "datasets" / "sudden.csv").read_bytes() != sudden
         for rel in kept[:2]:  # reused, not written again
             assert ((out / rel).read_bytes(), (out / rel).stat().st_mtime_ns) == before[rel]

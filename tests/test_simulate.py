@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftcast.core import ConfigError, save_dataset
+from driftcast import simulate
+from driftcast.core import ConfigError, derive_series_seed, save_dataset
 from driftcast.simulate import (
+    SIM_DRIFT_KINDS,
     ArProcess,
     SimConfig,
+    check_stationary,
     combine_gradual,
     combine_incremental,
     combine_sudden,
     component_pair,
+    draw_drift_meta,
     gen_ar,
     make_dataset,
     make_series,
@@ -146,6 +152,15 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(drift_kind="sudden", mean_2=1.0, mean_2_high=0.5)
 
+    def test_tiny_last_coefficient_is_stationary(self):
+        # np.roots on 1 - phi_1 z - ... divided by the tiny phi_p: it
+        # overflowed (LinAlgError) or found a spurious root inside the circle
+        for coeffs in [(0.5, 1e-310), (0.5, -0.2, 1e-200), (0.0, 0.0, 0.125, 9.2e-248)]:
+            check_stationary(coeffs)
+        for coeffs in [(1.0,), (0.5, 0.5), (0.0, 0.0, 0.0, 1.0), (-1.2, 1e-300)]:
+            with pytest.raises(ConfigError):
+                check_stationary(coeffs)
+
 
 def small_cfg(kind, **kw):
     defaults = dict(n_series=5, series_length=120, train_len=90, burn_in=50, base_seed=314)
@@ -209,3 +224,75 @@ class TestMakeDataset:
         again = make_series(cfg, 2)
         assert np.array_equal(ds.series[2].values, again.values)
         assert ds.series[2].drift == again.drift
+
+
+def bits(values):
+    """The IEEE bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def scalar_series(cfg, ordinal):
+    """Series ``ordinal`` built from the scalar reference: gen_ar twice
+    (through component_pair), then the per-series splice."""
+    seed = derive_series_seed(cfg.base_seed, ordinal)
+    ts1, ts2 = component_pair(cfg, seed)
+    meta = draw_drift_meta(cfg, seed)
+    if meta.kind == "sudden":
+        return combine_sudden(ts1, ts2, meta.t_drift), meta
+    if meta.kind == "incremental":
+        return combine_incremental(ts1, ts2, meta.t_start, meta.t_end), meta
+    return combine_gradual(ts1, ts2, meta.seed), meta
+
+
+def stationary_coeffs(order):
+    # sum |phi_k| < 1 keeps every characteristic root outside the unit circle
+    return st.tuples(*[st.floats(-0.95 / order, 0.95 / order) for _ in range(order)])
+
+
+@st.composite
+def sim_configs(draw):
+    order = draw(st.integers(1, 5))
+    length = draw(st.integers(20, 60))
+    means = st.one_of(st.just(0.0), st.floats(-50, 50))
+    mean_2 = draw(means)
+    spread = draw(st.one_of(st.none(), st.floats(0, 20)))
+    return SimConfig(
+        drift_kind=draw(st.sampled_from(SIM_DRIFT_KINDS)),
+        n_series=draw(st.integers(1, 4)),
+        series_length=length,
+        train_len=draw(st.integers(1, length - 1)),
+        ar_coeffs=draw(stationary_coeffs(order)),
+        ar_coeffs_2=draw(stationary_coeffs(order)),
+        mean=draw(means),
+        mean_2=mean_2,
+        mean_2_high=None if spread is None else mean_2 + spread,
+        noise_sd=draw(st.floats(0.01, 5)),
+        burn_in=draw(st.integers(0, 30)),
+        base_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestBatchedSimulator:
+    """make_dataset runs the AR recursions across series; each series
+    must still be what the scalar reference makes of it alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=sim_configs())
+    def test_matches_scalar_reference(self, cfg):
+        ds = make_dataset(cfg)
+        assert len(ds) == cfg.n_series
+        for i, s in enumerate(ds.series):
+            values, meta = scalar_series(cfg, i)
+            assert np.array_equal(bits(s.values), bits(values))
+            assert s.drift == meta
+            alone = make_series(cfg, i)
+            assert np.array_equal(bits(alone.values), bits(s.values))
+            assert (alone.id, alone.drift) == (s.id, s.drift)
+
+    def test_stationarity_checked_once_per_batch(self, monkeypatch):
+        cfg = small_cfg("gradual", n_series=6)
+        checked = []
+        real = simulate.check_stationary
+        monkeypatch.setattr(simulate, "check_stationary", lambda c: checked.append(c) or real(c))
+        make_dataset(cfg)
+        assert checked == [cfg.ar_coeffs, cfg.ar_coeffs_2]
