@@ -509,11 +509,21 @@ def _md_table(columns: tuple, rows: list[list]) -> list[str]:
     ]
 
 
+def _sha256(path: Path) -> str:
+    """Hex sha256 of a file, read 1 MiB at a time: a trace file is never
+    held in memory whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _inventory(out_dir: Path, paths: list[Path]) -> list[dict]:
     return [
         {
             "path": str(path.relative_to(out_dir)),
-            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "sha256": _sha256(path),
             "bytes": path.stat().st_size,
         }
         for path in paths

@@ -347,6 +347,12 @@ class TestRunCommand:
             expected.update(reference_weight_traces(run, kind))
         assert {path.name: path.read_bytes() for path in (out / "traces").glob("weights_*")} == expected
 
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
+    def test_manifest_digest_reads_blocks(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(bytes(range(256)) * (size // 256) + bytes(size % 256))
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 class TestMainExitCodes:
     def test_missing_config_is_validation_error(self, capsys):
