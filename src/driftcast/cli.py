@@ -579,7 +579,9 @@ def _in_dataset_order(run: RunResult, dataset: Dataset, trace_path: Path) -> Run
     the order ``cmd_run`` scored them in, and the one
     ``drift_sensitivity`` pairs with drift parameters. A trace file may
     hold its rows in any order."""
-    ids = tuple(s.id for s in dataset.series)
+    ids = dataset.ids
+    if ids == run.series_ids:
+        return run
     if set(ids) != set(run.series_ids):
         raise ConfigError(f"trace file {trace_path} does not hold the series of its dataset")
     position = {sid: i for i, sid in enumerate(run.series_ids)}

@@ -8,8 +8,8 @@ Conventions used throughout the package:
   seeded. Per-series seeds are ``base_seed + ordinal`` (wrapping at
   2**64); independent sub-streams are derived with ``SeedSequence``
   spawn keys. See README for the full policy.
-* Values are float64 and must be finite; non-finite input is rejected
-  at construction time.
+* Values are float64 and must be finite. A :class:`Dataset` checks its
+  whole value array once, when it is built, and rejects non-finite input.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -116,8 +118,9 @@ class TimeSeries:
     """One series: values, train/test split, and drift provenance.
 
     ``train_len`` is the number of training observations, so the first
-    test point sits at 1-based index ``train_len + 1``. The value array
-    is frozen after construction; instances are safe to share.
+    test point sits at 1-based index ``train_len + 1``. The series is
+    checked as a one-series :class:`Dataset`, whose frozen value row it
+    keeps; instances are safe to share.
     """
 
     id: str
@@ -126,23 +129,11 @@ class TimeSeries:
     drift: DriftMeta = field(default_factory=lambda: DriftMeta(kind="none"))
 
     def __post_init__(self) -> None:
-        # csv.writer leaves "\r" unquoted with "\n" line ends, and
-        # csv.reader then splits the row: such an id could not be read back
-        if "\r" in self.id:
-            raise ConfigError(f"series id {self.id!r} holds a carriage return")
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
+        if values.ndim != 1:
             raise ConfigError("values must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"series {self.id!r} contains non-finite values")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        if not 1 <= self.train_len <= len(values):
-            raise ConfigError(
-                f"train_len={self.train_len} outside [1, {len(values)}] for series {self.id!r}"
-            )
-        self.drift.validate_indices(len(values))
+        dataset = Dataset("", [self.id], [values], self.train_len, [self.drift])
+        object.__setattr__(self, "values", dataset.values[0])
 
     def __len__(self) -> int:
         return len(self.values)
@@ -152,42 +143,60 @@ class TimeSeries:
 class Dataset:
     """A homogeneous collection of series plus the config that built it.
 
-    ``generator_config`` is a plain-dict snapshot of the simulation
-    config (or None for externally loaded data) so that the sidecar
-    metadata round-trips without pulling in the simulator.
+    Series ``i`` is ``ids[i]``, row ``i`` of the read-only (n_series,
+    length) float64 array ``values`` and ``drifts[i]``; all share
+    ``train_len``. ``generator_config`` is a plain-dict snapshot of the
+    simulation config (or None for externally loaded data).
     """
 
     name: str
-    series: tuple
+    ids: tuple
+    values: np.ndarray
+    train_len: int
+    drifts: tuple
     generator_config: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        series = tuple(self.series)
-        if not series:
-            raise ConfigError("dataset needs at least one series")
-        object.__setattr__(self, "series", series)
-        lengths = {len(s) for s in series}
-        train_lens = {s.train_len for s in series}
-        if len(lengths) != 1 or len(train_lens) != 1:
-            raise ConfigError("all series must share length and train_len")
-        ids = [s.id for s in series]
+        ids, values, drifts = tuple(self.ids), np.array(self.values, dtype=np.float64), tuple(self.drifts)
+        if values.ndim != 2 or values.size == 0 or not len(ids) == len(values) == len(drifts):
+            raise ConfigError("a dataset needs a non-empty (n_series, length) array, an id and a drift per row")
         if len(set(ids)) != len(ids):
             raise ConfigError("series ids must be unique")
+        # csv.writer leaves "\r" unquoted with "\n" line ends, and the
+        # file then splits the row: such an id could not be read back
+        for sid in ids:
+            if "\r" in sid:
+                raise ConfigError(f"series id {sid!r} holds a carriage return")
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ConfigError(f"series {ids[np.argmin(finite)]!r} contains non-finite values")
+        if not 1 <= self.train_len <= values.shape[1]:
+            raise ConfigError(f"train_len={self.train_len} outside [1, {values.shape[1]}]")
+        for drift in drifts:
+            drift.validate_indices(values.shape[1])
+        values.setflags(write=False)
+        for name, value in (("ids", ids), ("values", values), ("drifts", drifts)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_series(cls, name: str, series: Sequence[TimeSeries], generator_config: Optional[dict] = None) -> "Dataset":
+        """A dataset of ``series``, which must share length and ``train_len``."""
+        if len({(len(s), s.train_len) for s in series}) != 1:
+            raise ConfigError("a dataset needs series that share length and train_len")
+        ids, drifts = [s.id for s in series], [s.drift for s in series]
+        return cls(name, ids, np.stack([s.values for s in series]), series[0].train_len, drifts, generator_config)
 
     def __len__(self) -> int:
-        return len(self.series)
+        return len(self.ids)
 
     @property
     def series_length(self) -> int:
-        return len(self.series[0])
+        return self.values.shape[1]
 
     @property
-    def train_len(self) -> int:
-        return self.series[0].train_len
-
-    def values_matrix(self) -> np.ndarray:
-        """All series stacked as an (n_series, length) array."""
-        return np.vstack([s.values for s in self.series])
+    def series(self) -> tuple:
+        """Every series as a :class:`TimeSeries`, each a copy of its row."""
+        return tuple(map(TimeSeries, self.ids, self.values, [self.train_len] * len(self), self.drifts))
 
 
 # The CSV text contract of every output file (datasets, traces, weight
@@ -235,6 +244,62 @@ def write_csv(path: str | Path, header: Sequence[str], chunks: Iterable[str]) ->
     return path
 
 
+# rows per np.loadtxt call of read_csv: a chunk's fields, ids as Python
+# strings, are held in memory at once
+CSV_CHUNK_ROWS = 1 << 12
+
+
+def read_csv(path: str | Path, columns: dict) -> Iterator[np.ndarray]:
+    """Read a CSV file that :func:`write_csv` wrote: check that its header
+    row names ``columns`` (name -> dtype, ``object`` for text), then yield
+    its rows as structured arrays of up to ``CSV_CHUNK_ROWS`` rows.
+
+    Fields are unquoted as csv.writer quotes them, so a quoted field may
+    hold commas, quotes and line breaks. A blank line is skipped. A row
+    that does not parse raises ConfigError naming its line, counted from
+    the header as line 1 with one line per row (a quoted line break does
+    not count)."""
+    path = Path(path)
+    dtype = np.dtype(list(columns.items()))
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = fh.readline().rstrip("\r\n")
+        if header != ",".join(map(csv_field, columns)):
+            raise ConfigError(f"unexpected header {header!r} in {path}")
+        done = 0  # rows read
+        while True:
+            try:
+                with warnings.catch_warnings():  # of a blank line, or of no rows left
+                    warnings.simplefilter("ignore", UserWarning)
+                    chunk = np.loadtxt(
+                        fh, dtype, comments=None, delimiter=",", quotechar='"', max_rows=CSV_CHUNK_ROWS, ndmin=1
+                    )
+            except ValueError as exc:  # a wrong field count or an unparsable field
+                # loadtxt numbers the rows of its chunk from 0 in a conversion
+                # error and from 1 in a column-count error
+                row = re.search(r"at row (\d+)", str(exc))
+                line = done + 1 + int(row[1]) + str(exc).startswith("could not convert") if row else None
+                where = f"at line {line}" if row else f"after line {done + 1}"
+                raise ConfigError(f"malformed row {where} of {path}: {exc}") from exc
+            if len(chunk):
+                yield chunk
+            done += len(chunk)
+            if len(chunk) < CSV_CHUNK_ROWS:
+                return
+
+
+def key_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop of each run of consecutive rows that agree in every
+    column of ``keys``. A file written a series at a time holds one run
+    per series, so its ids are looked up once per run, not per row."""
+    starts = np.ones(len(keys[0]), dtype=bool)
+    starts[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    starts = np.flatnonzero(starts)
+    return starts, np.append(starts[1:], len(keys[0]))
+
+
+DATASET_COLUMNS = {"series_id": object, "t": np.int64, "value": np.float64}
+
+
 def save_dataset(dataset: Dataset, csv_path: str | Path) -> Path:
     """Write ``<path>.csv`` plus a ``<stem>.meta.json`` sidecar.
 
@@ -246,15 +311,15 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> Path:
     positions = [str(t) for t in range(1, dataset.series_length + 1)]
     write_csv(
         csv_path,
-        ["series_id", "t", "value"],
-        (csv_rows((csv_field(s.id),), positions, format_floats(s.values)) for s in dataset.series),
+        list(DATASET_COLUMNS),
+        (csv_rows((csv_field(sid),), positions, format_floats(row)) for sid, row in zip(dataset.ids, dataset.values)),
     )
     meta = {
         "name": dataset.name,
         "series_length": dataset.series_length,
         "train_len": dataset.train_len,
         "generator_config": dataset.generator_config,
-        "series": [{"id": s.id, "drift": s.drift.to_dict()} for s in dataset.series],
+        "series": [{"id": sid, "drift": drift.to_dict()} for sid, drift in zip(dataset.ids, dataset.drifts)],
     }
     meta_path = sidecar_path(csv_path)
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:
@@ -270,43 +335,36 @@ def sidecar_path(csv_path: str | Path) -> Path:
 
 def load_dataset(csv_path: str | Path) -> Dataset:
     """Inverse of :func:`save_dataset`; positions and values round-trip
-    exactly."""
+    exactly. The CSV must hold, for every series of the sidecar and no
+    other, the positions t = 1..series_length in order; the series may
+    come in any order, and interleave."""
     csv_path = Path(csv_path)
     meta_path = sidecar_path(csv_path)
     if not csv_path.exists() or not meta_path.exists():
         raise ConfigError(f"dataset files missing: {csv_path} / {meta_path}")
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    values_by_id: dict[str, list[float]] = {}
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["series_id", "t", "value"]:
-            raise ConfigError(f"unexpected dataset header {header!r} in {csv_path}")
-        try:
-            for sid, t, value in reader:
-                bucket = values_by_id.setdefault(sid, [])
-                if int(t) != len(bucket) + 1:
-                    raise ConfigError(f"non-contiguous t for series {sid!r} in {csv_path}")
-                bucket.append(float(value))
-        except (ValueError, csv.Error) as exc:  # a wrong field count or an unparsable number
-            raise ConfigError(f"malformed row at line {reader.line_num} of {csv_path}: {exc}") from exc
-    series = []
-    for entry in meta["series"]:
-        sid = entry["id"]
-        if sid not in values_by_id:
-            raise ConfigError(f"series {sid!r} in sidecar but not in CSV")
-        series.append(
-            TimeSeries(
-                id=sid,
-                values=np.array(values_by_id[sid]),
-                train_len=meta["train_len"],
-                drift=DriftMeta.from_dict(entry["drift"]),
-            )
-        )
-    if set(values_by_id) - {s.id for s in series}:
-        raise ConfigError("CSV contains series absent from the sidecar")
-    return Dataset(name=meta["name"], series=tuple(series), generator_config=meta.get("generator_config"))
+    ids = [entry["id"] for entry in meta["series"]]
+    row_of = {sid: i for i, sid in enumerate(ids)}
+    length = meta["series_length"]
+    values = np.empty((len(ids), length))
+    filled = np.zeros(len(ids), dtype=int)  # values read so far, per series
+    for chunk in read_csv(csv_path, DATASET_COLUMNS):
+        sid, t = chunk["series_id"], chunk["t"]
+        for start, stop in zip(*key_runs(sid)):
+            if sid[start] not in row_of:
+                raise ConfigError(f"CSV contains series {sid[start]!r} absent from the sidecar")
+            i = row_of[sid[start]]
+            n, m = filled[i], stop - start
+            if n + m > length or not np.array_equal(t[start:stop], np.arange(n + 1, n + m + 1)):
+                raise ConfigError(f"non-contiguous t for series {sid[start]!r} in {csv_path}")
+            values[i, n : n + m] = chunk["value"][start:stop]
+            filled[i] += m
+    short = np.flatnonzero(filled < length)
+    if short.size:
+        raise ConfigError(f"series {ids[short[0]]!r} holds {filled[short[0]]} of {length} positions in {csv_path}")
+    drifts = [DriftMeta.from_dict(entry["drift"]) for entry in meta["series"]]
+    return Dataset(meta["name"], ids, values, meta["train_len"], drifts, meta.get("generator_config"))
 
 
 def spawned_seed(seed: int, stream: int) -> int:

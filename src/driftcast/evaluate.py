@@ -36,7 +36,6 @@ reports.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,7 +43,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from driftcast.combine import DEFAULT_PAIRINGS, NON_FINITE_RSS
-from driftcast.core import ConfigError, Dataset, FitError, csv_field, csv_rows, format_floats, write_csv
+from driftcast.core import ConfigError, Dataset, FitError, csv_field, csv_rows, format_floats, key_runs, read_csv
+from driftcast.core import write_csv
 from driftcast.learners import (
     DEFAULT_GLOBAL_LAGS,
     DEFAULT_RIDGE_LAMBDA,
@@ -473,11 +473,11 @@ def prequential_run(dataset: Dataset, cfg: EvalConfig, capture_weights: bool = F
                 failures[name] = str(exc)
         global_fits.append((models, failures))
 
-    values = dataset.values_matrix()
+    values = dataset.values
     predictions, fit_counts, failed, weights = _evaluate_batch(
         values, dataset.train_len, cfg, global_fits, capture_weights
     )
-    series_ids = tuple(s.id for s in dataset.series)
+    series_ids = dataset.ids
     return RunResult(
         series_ids=series_ids,
         methods=tuple(m.name for m in cfg.methods),
@@ -591,13 +591,11 @@ def _per_series(report: EvalReport, metric: str) -> dict:
 
 
 def _drift_parameter(dataset: Dataset) -> tuple[str, np.ndarray]:
-    kinds = {s.drift.kind for s in dataset.series}
+    kinds = {drift.kind for drift in dataset.drifts}
     if kinds == {"sudden"}:
-        return "t_drift", np.array([s.drift.t_drift for s in dataset.series], dtype=np.float64)
+        return "t_drift", np.array([drift.t_drift for drift in dataset.drifts], dtype=np.float64)
     if kinds == {"incremental"}:
-        return "drift_length", np.array(
-            [s.drift.t_end - s.drift.t_start for s in dataset.series], dtype=np.float64
-        )
+        return "drift_length", np.array([drift.t_end - drift.t_start for drift in dataset.drifts], dtype=np.float64)
     raise ConfigError(f"no drift parameter for drift kinds {sorted(kinds)}")
 
 
@@ -694,63 +692,83 @@ def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> lis
     return paths
 
 
+TRACE_COLUMNS = {"series_id": object, "method": object, "t": np.int64, "actual": np.float64, "prediction": np.float64}
+
+
+def _regrid(arr: np.ndarray, shape: tuple, shift: int, fill) -> np.ndarray:
+    """``arr`` in the corner of a new array of ``shape`` filled with
+    ``fill``, its last axis moved ``shift`` places on."""
+    out = np.full(shape, fill, dtype=arr.dtype)
+    out[tuple(map(slice, arr.shape[:-1])) + (slice(shift, shift + arr.shape[-1]),)] = arr
+    return out
+
+
 def load_traces(path: str | Path) -> RunResult:
     """Rebuild a RunResult from a trace CSV, without fit counts or
-    failures."""
+    failures. The rows may come in any order; series and methods keep
+    the order of their first row. The file's first (method, series)
+    fixes where the horizon starts: every (method, series) must hold the
+    same positions t once each, and every method a series' same actuals.
+    Each chunk is scattered into (method, series, t) arrays that grow as
+    new ids and positions turn up."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"trace file missing: {path}")
-    rows_by_key: dict[tuple, list] = {}
-    # name -> first-seen position, so membership tests stay O(1)
+    series: dict[str, int] = {}  # id -> row, in order of first appearance
     methods: dict[str, int] = {}
-    series_ids: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["series_id", "method", "t", "actual", "prediction"]:
-            raise ConfigError(f"unexpected trace header {header!r} in {path}")
-        try:
-            for sid, name, t, actual, prediction in reader:
-                methods.setdefault(name, len(methods))
-                series_ids.setdefault(sid, len(series_ids))
-                rows_by_key.setdefault((name, sid), []).append((int(t), float(actual), float(prediction)))
-        except (ValueError, csv.Error) as exc:  # a wrong field count or an unparsable number
-            raise ConfigError(f"malformed row at line {reader.line_num} of {path}: {exc}") from exc
-    if not rows_by_key:
+    lo = 0  # the position t of the arrays' first column
+    counts = np.zeros((0, 0, 0), dtype=np.int32)  # rows read per (method, series, t)
+    predictions = np.zeros((0, 0, 0))
+    actuals = np.zeros((0, 0))  # per (series, t), from the first row that holds it
+    differ = None  # a series whose actuals differ between rows
+    for chunk in read_csv(path, TRACE_COLUMNS):
+        sid, name, t, actual = chunk["series_id"], chunk["method"], chunk["t"], chunk["actual"]
+        starts, stops = key_runs(sid, name)
+        s = np.repeat([series.setdefault(sid[k], len(series)) for k in starts], stops - starts)
+        m = np.repeat([methods.setdefault(name[k], len(methods)) for k in starts], stops - starts)
+        first, last = int(t.min()), int(t.max())
+        if counts.size:
+            first, last = min(first, lo), max(last, lo + counts.shape[2] - 1)
+        if last - first >= path.stat().st_size:  # each position needs a row, of more than a byte
+            raise ConfigError(f"positions t={first}..{last} span more rows than {path} holds")
+        # as many ids as seen, rounded up to a power of two so that the arrays grow rarely
+        shape = (1 << (len(methods) - 1).bit_length(), 1 << (len(series) - 1).bit_length(), last - first + 1)
+        if shape != counts.shape:
+            counts, predictions = _regrid(counts, shape, lo - first, 0), _regrid(predictions, shape, lo - first, np.nan)
+            actuals, lo = _regrid(actuals, shape[1:], lo - first, np.nan), first
+        col = t - lo
+        new = ~counts[:, s, col].any(axis=0)
+        actuals[s[new], col[new]] = actual[new]
+        kept = actuals[s, col]
+        mismatch = (kept != actual) & ~(np.isnan(kept) & np.isnan(actual))
+        if differ is None and mismatch.any():
+            differ = sid[np.argmax(mismatch)]
+        np.add.at(counts, (m, s, col), 1)
+        predictions[m, s, col] = chunk["prediction"]
+    if not series:
         raise ConfigError(f"trace file {path} holds no rows")
-    horizons = {len(v) for v in rows_by_key.values()}
-    if len(horizons) != 1:
+    counts = counts[: len(methods), : len(series)]
+    rows = counts.sum(axis=2)
+    horizon = int(rows[0, 0])  # of the file's first (method, series)
+    if np.any(rows[rows > 0] != horizon):
         raise ConfigError("inconsistent horizon lengths across traces")
-    horizon = horizons.pop()
-    predictions = {name: np.full((len(series_ids), horizon), np.nan) for name in methods}
-    actuals = np.full((len(series_ids), horizon), np.nan)
-    first_actuals: dict[int, tuple] = {}  # series position -> its first method's actuals
-    positions = None
-    for (name, sid), rows in rows_by_key.items():
-        rows.sort()  # by t; a repeated t is rejected below
-        t, actual, prediction = zip(*rows)
-        if positions is None:  # the file's first (method, series) fixes where the horizon starts
-            train_len = t[0] - 1
-            positions = tuple(range(train_len + 1, train_len + horizon + 1))
-        if t != positions:
-            raise ConfigError(
-                f"trace of ({name!r}, {sid!r}) does not hold t={train_len + 1}..{train_len + horizon} once each in {path}"
-            )
-        i = series_ids[sid]
-        first = first_actuals.setdefault(i, actual)
-        if first is actual:
-            actuals[i] = actual
-        # tuples of floats compare exactly, except that two NaNs differ
-        elif actual != first and not np.array_equal(first, actual, equal_nan=True):
-            raise ConfigError(f"actuals of series {sid!r} differ between methods in {path}")
-        predictions[name][i] = prediction
+    start = int(np.argmax(counts[0, 0] > 0))
+    train_len, once = lo + start - 1, np.zeros(counts.shape[2], dtype=np.int32)
+    once[start : start + horizon] = 1
+    wrong = np.argwhere((rows > 0) & np.any(counts != once, axis=2))
+    if wrong.size:
+        name, sid = list(methods)[wrong[0, 0]], list(series)[wrong[0, 1]]
+        positions = f"t={train_len + 1}..{train_len + horizon}"
+        raise ConfigError(f"trace of ({name!r}, {sid!r}) does not hold {positions} once each in {path}")
+    if differ is not None:
+        raise ConfigError(f"actuals of series {differ!r} differ between methods in {path}")
     return RunResult(
-        series_ids=tuple(series_ids),
+        series_ids=tuple(series),
         methods=tuple(methods),
         train_len=train_len,
         horizon=horizon,
-        actuals=actuals,
-        predictions=predictions,
+        actuals=actuals[: len(series), start : start + horizon],
+        predictions={name: predictions[j, : len(series), start : start + horizon] for name, j in methods.items()},
         fit_counts={},
         failures={},
     )

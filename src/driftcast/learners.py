@@ -108,8 +108,7 @@ def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> Fo
     d = p + 1
     A = np.zeros((d, d))
     rhs = np.zeros(d)
-    for s in dataset.series:
-        values = s.values[:train_through]
+    for sid, values in zip(dataset.ids, dataset.values[:, :train_through]):
         window_len = resolve_window(spec.window, train_through)
         if spec.weighting.literal_value_scaling:
             # Eq-style value scaling: the window's observations are
@@ -124,7 +123,7 @@ def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> Fo
             X, y = _lag_rows(values, p, first_target, train_through)
             w = weight_schedule(spec.weighting, len(y))
         if len(y) == 0:
-            raise FitError(f"series {s.id!r} contributes no rows")
+            raise FitError(f"series {sid!r} contributes no rows")
         Xa = np.hstack([X, np.ones((len(y), 1))])
         wX = Xa * w[:, None]
         A += Xa.T @ wX

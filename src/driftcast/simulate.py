@@ -111,58 +111,6 @@ class SimConfig:
             raise ConfigError("base_seed must fit in 64 bits")
 
 
-@dataclass(frozen=True)
-class ArProcess:
-    """An AR(p) recursion around ``mean``:
-    x_t = mean + sum_k phi_k (x_{t-k} - mean) + N(0, noise_sd^2).
-
-    ``initial`` supplies the p values preceding the first generated
-    point, oldest first.
-    """
-
-    coeffs: tuple
-    noise_sd: float
-    initial: tuple
-    seed: int
-    mean: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        object.__setattr__(self, "initial", tuple(float(v) for v in self.initial))
-        if len(self.initial) != len(self.coeffs):
-            raise ConfigError("need exactly one initial value per AR coefficient")
-        if not self.noise_sd > 0:
-            raise ConfigError("noise_sd must be positive")
-        if not math.isfinite(self.mean):
-            raise ConfigError("mean must be finite")
-
-
-def gen_ar(proc: ArProcess, n: int, burn_in: int = 0) -> np.ndarray:
-    """Simulate ``n`` values of the process after discarding ``burn_in``.
-
-    The scalar reference for the series-batched recursion that
-    :func:`make_dataset` runs: tests require its output bit for bit.
-    """
-    check_stationary(proc.coeffs)
-    if n < 1 or burn_in < 0:
-        raise ConfigError("need n >= 1 and burn_in >= 0")
-    rng = np.random.default_rng(proc.seed)
-    eps = rng.normal(0.0, proc.noise_sd, size=burn_in + n)
-    phi = proc.coeffs
-    p = len(phi)
-    mu = proc.mean
-    xs = [v - mu for v in proc.initial]
-    for e in eps.tolist():
-        x = e
-        for k in range(p):
-            x += phi[k] * xs[-1 - k]
-        xs.append(x)
-    out = np.asarray(xs[p + burn_in :])
-    if mu != 0.0:
-        out += mu
-    return out
-
-
 def combine_sudden(ts1: np.ndarray, ts2: np.ndarray, t_drift: int) -> np.ndarray:
     """ts1 strictly before 1-based index ``t_drift``, ts2 from it on."""
     ts1, ts2 = _paired(ts1, ts2)
@@ -224,41 +172,6 @@ def series_mean_2(cfg: SimConfig, series_seed: int) -> float:
     return float(rng.uniform(cfg.mean_2, cfg.mean_2_high))
 
 
-def component_pair(cfg: SimConfig, series_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two source trajectories for one series.
-
-    The pre-drift trajectory uses ``ar_coeffs`` around ``mean``; the
-    post-drift one uses ``ar_coeffs_2`` around this series' post-drift
-    mean. Noise streams are independent; ts1 starts at its mean, ts2
-    from Gaussian draws under its own stream.
-
-    The scalar reference for :func:`make_dataset`, which draws the same
-    streams and runs both recursions across all series at once.
-    """
-    p = len(cfg.ar_coeffs)
-    proc1 = ArProcess(
-        coeffs=cfg.ar_coeffs,
-        noise_sd=cfg.noise_sd,
-        initial=(cfg.mean,) * p,
-        seed=spawned_seed(series_seed, _STREAM_TS1),
-        mean=cfg.mean,
-    )
-    mean_2 = series_mean_2(cfg, series_seed)
-    init2 = np.random.default_rng(spawned_seed(series_seed, _STREAM_TS2_INIT)).normal(
-        mean_2, cfg.noise_sd, size=p
-    )
-    proc2 = ArProcess(
-        coeffs=cfg.ar_coeffs_2,
-        noise_sd=cfg.noise_sd,
-        initial=tuple(init2),
-        seed=spawned_seed(series_seed, _STREAM_TS2),
-        mean=mean_2,
-    )
-    ts1 = gen_ar(proc1, cfg.series_length, cfg.burn_in)
-    ts2 = gen_ar(proc2, cfg.series_length, cfg.burn_in)
-    return ts1, ts2
-
-
 def draw_drift_meta(cfg: SimConfig, series_seed: int) -> DriftMeta:
     """Sample the drift placement for one series.
 
@@ -287,14 +200,16 @@ def _ar_batch(
     n: int,
     burn_in: int,
 ) -> np.ndarray:
-    """:func:`gen_ar` for ``k`` trajectories of one AR process at once.
+    """``n`` values, after ``burn_in`` discarded, of ``k`` trajectories of
+    the AR process x_t = mean + sum_q phi_q (x_{t-q} - mean) + N(0, sd^2).
 
     Trajectory j starts from ``initial[j]`` (oldest first), draws its
     noise from its own generator seeded with ``seeds[j]`` and runs
-    around ``means[j]``. The recursion runs time-major with gen_ar's
-    operations in gen_ar's order, elementwise across trajectories, so
-    each row of the ``(k, n)`` result equals gen_ar's output bit for
-    bit, whatever else is in the batch.
+    around ``means[j]``. The recursion runs time-major, elementwise
+    across trajectories, with the operations of the scalar reference
+    (``gen_ar`` in the tests) in its order, so each row of the ``(k,
+    n)`` result equals that reference bit for bit, whatever else is in
+    the batch.
     """
     check_stationary(coeffs)
     p = len(coeffs)
@@ -309,17 +224,18 @@ def _ar_batch(
             np.multiply(phi, xs[t - 1 - q], out=term)
             x += term
     out = xs[p + burn_in :]
-    # as gen_ar, add only a non-zero mean, so the two agree operation for operation
+    # as the scalar reference, add only a non-zero mean, so the two agree operation for operation
     shifted = means != 0.0
     if shifted.any():
         out[:, shifted] += means[shifted]
     return out.T
 
 
-def _batch_series(cfg: SimConfig, ordinals: Sequence[int]) -> list[TimeSeries]:
-    """Series ``ordinals`` of the dataset described by ``cfg``.
+def _batch_series(cfg: SimConfig, ordinals: Sequence[int]) -> tuple[list, np.ndarray, list]:
+    """Ids, values (one row per series) and drift metadata of series
+    ``ordinals`` of the dataset described by ``cfg``.
 
-    Every draw stays per series, as in :func:`component_pair`; only the
+    Every draw stays per series, as in the scalar reference; only the
     two AR recursions (ts1 and ts2, which have different coefficients)
     run across the batch.
     """
@@ -334,32 +250,25 @@ def _batch_series(cfg: SimConfig, ordinals: Sequence[int]) -> list[TimeSeries]:
     ]
     ts2_seeds = [spawned_seed(s, _STREAM_TS2) for s in seeds]
     ts2 = _ar_batch(cfg.ar_coeffs_2, sd, np.array(init_2), ts2_seeds, np.array(means_2), n, burn_in)
-    return [_splice(cfg, i, s, ts1[j], ts2[j]) for j, (i, s) in enumerate(zip(ordinals, seeds))]
-
-
-def _splice(cfg: SimConfig, ordinal: int, series_seed: int, ts1: np.ndarray, ts2: np.ndarray) -> TimeSeries:
-    """Draw one series' drift placement and combine its trajectories."""
-    meta = draw_drift_meta(cfg, series_seed)
-    if meta.kind == "sudden":
-        combined = combine_sudden(ts1, ts2, meta.t_drift)
-    elif meta.kind == "incremental":
-        combined = combine_incremental(ts1, ts2, meta.t_start, meta.t_end)
-    else:
-        combined = combine_gradual(ts1, ts2, meta.seed)
-    return TimeSeries(
-        id=f"{cfg.drift_kind}_{ordinal:04d}",
-        values=combined,
-        train_len=cfg.train_len,
-        drift=meta,
-    )
+    drifts = [draw_drift_meta(cfg, s) for s in seeds]
+    values = np.empty((k, n))
+    for j, meta in enumerate(drifts):
+        if meta.kind == "sudden":
+            values[j] = combine_sudden(ts1[j], ts2[j], meta.t_drift)
+        elif meta.kind == "incremental":
+            values[j] = combine_incremental(ts1[j], ts2[j], meta.t_start, meta.t_end)
+        else:
+            values[j] = combine_gradual(ts1[j], ts2[j], meta.seed)
+    return [f"{cfg.drift_kind}_{i:04d}" for i in ordinals], values, drifts
 
 
 def make_series(cfg: SimConfig, ordinal: int) -> TimeSeries:
     """Generate series ``ordinal`` of the dataset described by ``cfg``."""
-    return _batch_series(cfg, [ordinal])[0]
+    (sid,), (values,), (drift,) = _batch_series(cfg, [ordinal])
+    return TimeSeries(id=sid, values=values, train_len=cfg.train_len, drift=drift)
 
 
 def make_dataset(cfg: SimConfig, name: str | None = None) -> Dataset:
     """Generate the full dataset for ``cfg``, ordered by series ordinal."""
-    series = tuple(_batch_series(cfg, range(cfg.n_series)))
-    return Dataset(name=name or cfg.drift_kind, series=series, generator_config=asdict(cfg))
+    ids, values, drifts = _batch_series(cfg, range(cfg.n_series))
+    return Dataset(name or cfg.drift_kind, ids, values, cfg.train_len, drifts, asdict(cfg))

@@ -1,9 +1,16 @@
 import csv
+import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from driftcast import core
 from driftcast.core import (
     ConfigError,
     Dataset,
@@ -12,6 +19,7 @@ from driftcast.core import (
     derive_series_seed,
     load_dataset,
     save_dataset,
+    sidecar_path,
 )
 
 
@@ -29,6 +37,51 @@ def reference_dataset_csv(dataset, path):
         for s in dataset.series:
             for t, value in enumerate(s.values, start=1):
                 writer.writerow([s.id, t, repr(float(value))])
+
+
+def reference_load_dataset(csv_path):
+    """The row-by-row loader that the columnar ``load_dataset`` replaced
+    (csv.reader, ``float()``): the oracle for what it reads."""
+    csv_path = Path(csv_path)
+    with open(sidecar_path(csv_path), encoding="utf-8") as fh:
+        meta = json.load(fh)
+    values_by_id = {}
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["series_id", "t", "value"]:
+            raise ConfigError(f"unexpected dataset header {header!r} in {csv_path}")
+        try:
+            for sid, t, value in reader:
+                bucket = values_by_id.setdefault(sid, [])
+                if int(t) != len(bucket) + 1:
+                    raise ConfigError(f"non-contiguous t for series {sid!r} in {csv_path}")
+                bucket.append(float(value))
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"malformed row at line {reader.line_num} of {csv_path}: {exc}") from exc
+    series = []
+    for entry in meta["series"]:
+        if entry["id"] not in values_by_id:
+            raise ConfigError(f"series {entry['id']!r} in sidecar but not in CSV")
+        drift = DriftMeta.from_dict(entry["drift"])
+        series.append(TimeSeries(entry["id"], np.array(values_by_id[entry["id"]]), meta["train_len"], drift))
+    if set(values_by_id) - {s.id for s in series}:
+        raise ConfigError("CSV contains series absent from the sidecar")
+    return Dataset.from_series(meta["name"], series, meta.get("generator_config"))
+
+
+def write_rows(path, header, rows):
+    """A CSV file as csv.writer writes it, one row per tuple."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def bits(values):
+    """Each float64's bit pattern: equal bits mean equal values and signs."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def make_series(sid="s0", n=30, train_len=20, kind="none", **drift):
@@ -119,16 +172,54 @@ class TestDataset:
         a = make_series("a", n=30)
         b = make_series("b", n=31, train_len=20)
         with pytest.raises(ConfigError):
-            Dataset(name="d", series=(a, b))
+            Dataset.from_series(name="d", series=(a, b))
 
     def test_unique_ids(self):
         a = make_series("a")
         with pytest.raises(ConfigError):
-            Dataset(name="d", series=(a, a))
+            Dataset.from_series(name="d", series=(a, a))
 
-    def test_values_matrix(self):
-        ds = Dataset(name="d", series=(make_series("a"), make_series("b")))
-        assert ds.values_matrix().shape == (2, 30)
+    def test_values_array(self):
+        a, b = make_series("a"), make_series("b", kind="sudden", t_drift=4)
+        ds = Dataset.from_series(name="d", series=(a, b))
+        assert ds.values.shape == (2, 30) and ds.values.dtype == np.float64
+        assert ds.ids == ("a", "b") and ds.drifts == (a.drift, b.drift) and ds.train_len == 20
+        assert np.array_equal(ds.values[1], b.values)
+        with pytest.raises(ValueError):
+            ds.values[0, 0] = 1.0
+        assert [(s.id, s.drift) for s in ds.series] == [("a", a.drift), ("b", b.drift)]
+        assert np.array_equal(ds.series[1].values, b.values)
+
+    def test_values_copied(self):
+        values = np.ones((2, 5))
+        ds = Dataset("d", ["a", "b"], values, 3, [DriftMeta(kind="none")] * 2)
+        values[0, 0] = 7.0
+        assert ds.values[0, 0] == 1.0 and values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"values": [[1.0, 2.0, np.nan], [1.0, 2.0, 3.0]]}, "'a' contains non-finite"),
+            ({"values": [[1.0, 2.0, 3.0], [1.0, -np.inf, 3.0]]}, "'b' contains non-finite"),
+            ({"values": [1.0, 2.0]}, "non-empty"),
+            ({"values": np.zeros((2, 0))}, "non-empty"),
+            ({"ids": ["a"]}, "an id and a drift per row"),
+            ({"drifts": [DriftMeta(kind="none")]}, "an id and a drift per row"),
+            ({"ids": ["a", "a"]}, "unique"),
+            ({"ids": ["a", "cr\rx"]}, "carriage return"),
+            ({"train_len": 0}, "train_len"),
+            ({"train_len": 4}, "train_len"),
+            ({"drifts": [DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4)]}, "t_drift=4 outside"),
+        ],
+    )
+    def test_validated_once_over_the_array(self, change, message):
+        fields = {"ids": ["a", "b"], "values": np.ones((2, 3)), "train_len": 2, "drifts": [DriftMeta(kind="none")] * 2}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            Dataset(name="d", **dict(fields, **change))
+
+    def test_from_series_needs_series(self):
+        with pytest.raises(ConfigError):
+            Dataset.from_series("d", [])
 
 
 class TestDatasetIO:
@@ -146,7 +237,7 @@ class TestDatasetIO:
                     drift=DriftMeta(kind="sudden", t_drift=7, seed=i),
                 )
             )
-        ds = Dataset(name="roundtrip", series=tuple(series), generator_config={"base_seed": 5})
+        ds = Dataset.from_series(name="roundtrip", series=tuple(series), generator_config={"base_seed": 5})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         reference_dataset_csv(ds, tmp_path / "reference.csv")
@@ -167,14 +258,14 @@ class TestDatasetIO:
     )
     def test_malformed_row_rejected(self, tmp_path, row):
         path = tmp_path / "ds.csv"
-        save_dataset(Dataset(name="d", series=(make_series("a", n=3, train_len=2),)), path)
+        save_dataset(Dataset.from_series(name="d", series=(make_series("a", n=3, train_len=2),)), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n", newline="")
         with pytest.raises(ConfigError, match=re.escape(f"line 3 of {path}")):
             load_dataset(path)
 
     def test_csv_shape(self, tmp_path):
-        ds = Dataset(name="d", series=(make_series("a", n=5, train_len=3),))
+        ds = Dataset.from_series(name="d", series=(make_series("a", n=5, train_len=3),))
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         text = path.read_bytes().decode()
@@ -187,3 +278,121 @@ class TestDatasetIO:
     def test_missing_files(self, tmp_path):
         with pytest.raises(ConfigError):
             load_dataset(tmp_path / "absent.csv")
+
+
+# ids that need quoting, ids with outer spaces, an empty id, or any text
+# the files' utf-8 can hold but "\r", which a Dataset rejects
+IDS = st.sampled_from(EDGE_IDS + (" a", "b ", " ", "\n", 'x"\ny', ",")) | st.text(
+    st.characters(codec="utf-8", exclude_characters="\r"), max_size=6
+)
+VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    EDGE_VALUES + (-5e-324, 2.2250738585072014e-308, -2.225073858507201e-308, 1.7976931348623157e308)
+)
+
+
+class TestDatasetReader:
+    """The columnar ``load_dataset`` against the row-by-row oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_by_row_oracle(self, data):
+        ids = data.draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+        length = data.draw(st.integers(1, 6))
+        values = data.draw(arrays(np.float64, (len(ids), length), elements=VALUES))
+        drifts = [DriftMeta(kind="sudden", t_drift=length, seed=i) for i in range(len(ids))]
+        dataset = Dataset("d", ids, values, length, drifts, {"base_seed": 3})
+        # the series interleaved, each keeping its own order of t
+        order = data.draw(st.permutations([i for i in range(len(ids)) for _ in range(length)]))
+        written = [0] * len(ids)
+        rows = []
+        for i in order:
+            written[i] += 1
+            rows.append((ids[i], written[i], repr(float(values[i, written[i] - 1]))))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "ds.csv"
+            save_dataset(dataset, path)
+            write_rows(path, ["series_id", "t", "value"], rows)
+            mp.setattr(core, "CSV_CHUNK_ROWS", data.draw(st.integers(1, 7)))
+            got, expected = load_dataset(path), reference_load_dataset(path)
+        for loaded in (got, expected):
+            assert (loaded.name, loaded.ids, loaded.train_len, loaded.drifts) == ("d", tuple(ids), length, tuple(drifts))
+            assert loaded.generator_config == {"base_seed": 3}
+            assert np.array_equal(bits(loaded.values), bits(values))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("a", 1, "1.0"), ("a", 3, "2.0"), ("b", 1, "1.0"), ("b", 2, "2.0")],  # a gap
+            [("a", 1, "1.0"), ("a", 1, "2.0"), ("b", 1, "1.0"), ("b", 2, "2.0")],  # a repeat
+            [("a", 2, "1.0"), ("a", 1, "2.0"), ("b", 1, "1.0"), ("b", 2, "2.0")],  # out of order
+            [("a", 1, "1.0"), ("a", 2, "2.0")],  # a series of the sidecar missing
+            [("a", 1, "1.0"), ("a", 2, "2.0"), ("b", 1, "1.0"), ("b", 2, "2.0"), ("c", 1, "1.0")],  # one more
+            [("a", 1, "1.0"), ("a", 2, "2.0"), ("b", 1, "1.0")],  # a short series
+            [("a", 1, "1.0"), ("a", 2, "inf"), ("b", 1, "1.0"), ("b", 2, "2.0")],  # not finite
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    def test_inconsistent_rows_rejected(self, tmp_path, monkeypatch, rows, chunk):
+        path = tmp_path / "ds.csv"
+        save_dataset(Dataset.from_series("d", [make_series("a", n=2, train_len=1), make_series("b", n=2, train_len=1)]), path)
+        write_rows(path, ["series_id", "t", "value"], rows)
+        monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
+        with pytest.raises(ConfigError):
+            reference_load_dataset(path)
+        with pytest.raises(ConfigError):
+            load_dataset(path)
+
+    def test_every_series_must_hold_the_sidecar_length(self, tmp_path):
+        # a check the row-by-row loader did not make: it took the length
+        # from the rows, as long as every series had the same
+        path = tmp_path / "ds.csv"
+        save_dataset(Dataset.from_series("d", [make_series("a", n=3, train_len=1)]), path)
+        write_rows(path, ["series_id", "t", "value"], [("a", 1, "1.0"), ("a", 2, "2.0")])
+        assert len(reference_load_dataset(path).values[0]) == 2
+        with pytest.raises(ConfigError, match=re.escape("series 'a' holds 2 of 3 positions")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+    @pytest.mark.parametrize("bad", ["a,two,0.5", "a,2,half", "a,2", "a,2,0.5,9"])
+    @pytest.mark.parametrize("at", [0, 1, 4])
+    def test_malformed_row_names_its_line(self, tmp_path, monkeypatch, chunk, bad, at):
+        # the line counts the header and every row before, in earlier
+        # chunks too; a row whose id holds a quoted line break counts once
+        path = tmp_path / "ds.csv"
+        save_dataset(Dataset.from_series("d", [make_series("x\ny", n=3, train_len=1), make_series("a", n=3, train_len=1)]), path)
+        rows = [f'"x\ny",{t},1.0\n' for t in (1, 2, 3)] + [f"a,{t},1.0\n" for t in (1, 2, 3)]
+        rows.insert(at, bad + "\n")
+        path.write_text("series_id,t,value\n" + "".join(rows), encoding="utf-8", newline="")
+        monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
+        with pytest.raises(ConfigError, match=re.escape(f"malformed row at line {at + 2} of {path}")):
+            load_dataset(path)
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        # the row-by-row loader rejected a blank line (exit 1); loadtxt skips it
+        path = tmp_path / "ds.csv"
+        save_dataset(Dataset.from_series("d", [make_series("a", n=3, train_len=1)]), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n", encoding="utf-8", newline="")
+        with pytest.raises(ConfigError, match="line 3"):
+            reference_load_dataset(path)
+        assert np.array_equal(bits(load_dataset(path).values), bits(make_series("a", n=3, train_len=1).values[None]))
+
+    def test_underscore_in_a_number_is_malformed(self, tmp_path):
+        # float() reads "1_0" as 10.0; loadtxt rejects it
+        path = tmp_path / "ds.csv"
+        save_dataset(Dataset.from_series("d", [make_series("a", n=2, train_len=1)]), path)
+        write_rows(path, ["series_id", "t", "value"], [("a", 1, "1_0"), ("a", 2, "2.0")])
+        assert reference_load_dataset(path).values[0, 0] == 10.0
+        with pytest.raises(ConfigError, match=re.escape(f"malformed row at line 2 of {path}")):
+            load_dataset(path)
+        write_rows(path, ["series_id", "t", "value"], [("a", 1, "1.0"), ("a", "2_0", "2.0")])
+        with pytest.raises(ConfigError, match=re.escape(f"malformed row at line 3 of {path}")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("header", ["", "series_id,t", "series_id,t,value,x", '"series_id",t,value', "t,series_id,value"])
+    def test_header_checked(self, tmp_path, header):
+        path = tmp_path / "ds.csv"
+        save_dataset(Dataset.from_series("d", [make_series("a", n=2, train_len=1)]), path)
+        path.write_text(header + ("\n" if header else "") + "a,1,1.0\na,2,2.0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unexpected header"):
+            load_dataset(path)

@@ -4,6 +4,7 @@ import io
 import re
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast import evaluate
+from driftcast import core, evaluate
 from driftcast.combine import DEFAULT_PAIRINGS, PairingEnsemble
 from driftcast.core import ConfigError, Dataset, DriftcastError, DriftMeta, FitError, TimeSeries
 from driftcast.evaluate import (
@@ -191,7 +192,7 @@ def spiked_dataset(n_series=4, spike_series=1, length=80, train_len=50, spike_at
         if i == spike_series:
             values[spike_at : spike_at + 2] = 1e308
         series.append(TimeSeries(id=f"s{i}", values=values, train_len=train_len))
-    return Dataset(name="spiked", series=tuple(series))
+    return Dataset.from_series(name="spiked", series=tuple(series))
 
 
 def two_lag_sum_models(dataset, train_through, spec):
@@ -276,7 +277,7 @@ class TestPrequentialRun:
             values = s.values.copy()
             values[corrupt_from:] = other.values[corrupt_from:]
             corrupted.append(TimeSeries(id=s.id, values=values, train_len=s.train_len, drift=s.drift))
-        run2 = prequential_run(Dataset(name="corrupt", series=tuple(corrupted)), cfg)
+        run2 = prequential_run(Dataset.from_series(name="corrupt", series=tuple(corrupted)), cfg)
         for name in baseline.methods:
             a = baseline.predictions[name][:, :15]
             b = run2.predictions[name][:, :15]
@@ -287,7 +288,7 @@ class TestPrequentialRun:
 
     def test_series_reordering_invariance(self, monkeypatch):
         ds = tiny_dataset()
-        reordered = Dataset(name=ds.name, series=tuple(reversed(ds.series)), generator_config=None)
+        reordered = Dataset.from_series(name=ds.name, series=tuple(reversed(ds.series)), generator_config=None)
         cfg = EvalConfig(horizon=30, block_size=10, methods=specs(*ALL_METHODS))
         rep1 = build_report(prequential_run(ds, cfg))
         rep2 = build_report(prequential_run(reordered, cfg))
@@ -300,7 +301,7 @@ class TestPrequentialRun:
         real_fit = evaluate.fit_global_ar
 
         def fit_in_id_order(dataset, train_through, spec):
-            canonical = Dataset(name=dataset.name, series=tuple(sorted(dataset.series, key=lambda s: s.id)))
+            canonical = Dataset.from_series(name=dataset.name, series=tuple(sorted(dataset.series, key=lambda s: s.id)))
             return real_fit(canonical, train_through, spec)
 
         monkeypatch.setattr(evaluate, "fit_global_ar", fit_in_id_order)
@@ -408,7 +409,7 @@ class TestBatchEngine:
             assert run.weight_traces[name][0][1] < cfg.horizon  # steps recorded for s1
         assert run.failures["Plain_All"] == {}
         # the other series of the batch come out as if run on their own
-        rest = Dataset(name="rest", series=tuple(s for s in ds.series if s.id != "s1"))
+        rest = Dataset.from_series(name="rest", series=tuple(s for s in ds.series if s.id != "s1"))
         alone = prequential_run(rest, cfg)
         for name in run.methods:
             assert np.array_equal(np.delete(run.predictions[name], 1, axis=0), alone.predictions[name]), name
@@ -567,7 +568,7 @@ class TestSensitivity:
             )
             for i, v in enumerate(values)
         )
-        ds = Dataset(name="d", series=series)
+        ds = Dataset.from_series(name="d", series=series)
         cfg = EvalConfig(horizon=20, block_size=10, methods=specs("AR3_All"))
         report = build_report(prequential_run(ds, cfg))
         table = drift_sensitivity(ds, report)
@@ -667,6 +668,95 @@ FLOATS = st.floats() | st.sampled_from(EDGE_PREDICTIONS + (-5e-324, 2.2250738585
 def write_trace_text(path, rows):
     path.write_text("series_id,method,t,actual,prediction\n" + "".join(f"{r}\n" for r in rows))
     return path
+
+
+def reference_load_traces(path):
+    """The row-by-row loader that the columnar ``load_traces`` replaced
+    (csv.reader, ``float()``, one tuple per row): the oracle for what it
+    reads."""
+    rows_by_key = {}
+    methods, series_ids = {}, {}  # name -> first-seen position
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["series_id", "method", "t", "actual", "prediction"]:
+            raise ConfigError(f"unexpected trace header {header!r} in {path}")
+        try:
+            for sid, name, t, actual, prediction in reader:
+                methods.setdefault(name, len(methods))
+                series_ids.setdefault(sid, len(series_ids))
+                rows_by_key.setdefault((name, sid), []).append((int(t), float(actual), float(prediction)))
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"malformed row at line {reader.line_num} of {path}: {exc}") from exc
+    if not rows_by_key:
+        raise ConfigError(f"trace file {path} holds no rows")
+    horizons = {len(v) for v in rows_by_key.values()}
+    if len(horizons) != 1:
+        raise ConfigError("inconsistent horizon lengths across traces")
+    horizon = horizons.pop()
+    predictions = {name: np.full((len(series_ids), horizon), np.nan) for name in methods}
+    actuals = np.full((len(series_ids), horizon), np.nan)
+    first_actuals = {}
+    positions = None
+    for (name, sid), rows in rows_by_key.items():
+        rows.sort()
+        t, actual, prediction = zip(*rows)
+        if positions is None:
+            train_len = t[0] - 1
+            positions = tuple(range(train_len + 1, train_len + horizon + 1))
+        if t != positions:
+            raise ConfigError(f"trace of ({name!r}, {sid!r}) does not hold t={positions} once each in {path}")
+        i = series_ids[sid]
+        first = first_actuals.setdefault(i, actual)
+        if first is actual:
+            actuals[i] = actual
+        elif actual != first and not np.array_equal(first, actual, equal_nan=True):
+            raise ConfigError(f"actuals of series {sid!r} differ between methods in {path}")
+        predictions[name][i] = prediction
+    return RunResult(tuple(series_ids), tuple(methods), train_len, horizon, actuals, predictions, {}, {})
+
+
+def trace_rows(run):
+    """The rows of ``run``'s trace file, in the order write_traces writes them."""
+    return [
+        (sid, name, run.train_len + k + 1, repr(float(run.actuals[i, k])), repr(float(run.predictions[name][i, k])))
+        for name in run.methods
+        for i, sid in enumerate(run.series_ids)
+        for k in range(run.horizon)
+    ]
+
+
+def write_trace_rows(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["series_id", "method", "t", "actual", "prediction"])
+        writer.writerows(rows)
+    return path
+
+
+def load_both(path):
+    """``load_traces`` and the oracle on one file: each result, or the
+    ConfigError it raised."""
+    outcomes = []
+    for load in (load_traces, reference_load_traces):
+        try:
+            outcomes.append(load(path))
+        except ConfigError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_same_run(got, expected):
+    assert (got.series_ids, got.methods) == (expected.series_ids, expected.methods)
+    assert (got.train_len, got.horizon) == (expected.train_len, expected.horizon)
+    # bit patterns: sign bits count, and every NaN reads back as the same one
+    assert np.array_equal(got.actuals.view(np.uint64), expected.actuals.view(np.uint64))
+    for name in got.methods:
+        assert np.array_equal(got.predictions[name].view(np.uint64), expected.predictions[name].view(np.uint64))
+
+
+# ids that need quoting, ids with outer spaces, an empty id, or any text
+TRACE_IDS = st.sampled_from(EDGE_IDS + (" a", "b ", " ", "\n", 'x"\ny')) | NAMES
 
 
 class TestTraceIO:
@@ -875,3 +965,87 @@ class TestBuildReport:
                 expected = [np.mean(r[ok]), np.median(r[ok]), np.mean(m[ok]), np.median(m[ok])] if ok.any() else [np.nan] * 4
                 got = [report.summary[name][k] for k in ("mean_rmse", "median_rmse", "mean_mae", "median_mae")]
                 assert np.array_equal(got, expected, equal_nan=True), name
+
+
+class TestTraceReader:
+    """The columnar ``load_traces`` against the row-by-row oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_by_row_oracle(self, data):
+        series_ids = data.draw(st.lists(TRACE_IDS, min_size=1, max_size=4, unique=True))
+        methods = data.draw(st.lists(TRACE_IDS, min_size=1, max_size=3, unique=True))
+        shape = (len(series_ids), data.draw(st.integers(1, 4)))
+        actuals = data.draw(arrays(np.float64, shape, elements=FLOATS))
+        predictions = {name: data.draw(arrays(np.float64, shape, elements=FLOATS)) for name in methods}
+        run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, predictions)
+        shuffled = data.draw(st.booleans())
+        rows = data.draw(st.permutations(trace_rows(run))) if shuffled else trace_rows(run)
+        # and now and then a fault: a row dropped, repeated, moved in t,
+        # or holding another actual
+        fault = data.draw(st.sampled_from([None, "drop", "repeat", "shift", "actual"]))
+        k = data.draw(st.integers(0, len(rows) - 1))
+        sid, name, t, actual, prediction = rows[k]
+        if fault == "drop":
+            del rows[k]
+        elif fault == "repeat":
+            rows.insert(data.draw(st.integers(0, len(rows))), rows[k])
+        elif fault == "shift":
+            rows[k] = (sid, name, t + data.draw(st.sampled_from([-2, -1, 1, 2, 10**7])), actual, prediction)
+        elif fault == "actual":
+            rows[k] = (sid, name, t, "1.5" if actual == "nan" else "nan", prediction)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "CSV_CHUNK_ROWS", data.draw(st.integers(1, 7)))
+            got, expected = load_both(write_trace_rows(Path(tmp) / "traces.csv", rows))
+        if isinstance(expected, ConfigError):
+            assert isinstance(got, ConfigError)
+        else:
+            assert not isinstance(got, ConfigError), got
+            assert_same_run(got, expected)
+            if fault is None and not shuffled:  # the run written, but for NaN payloads: repr writes "nan"
+                assert (got.series_ids, got.methods, got.train_len) == (run.series_ids, run.methods, run.train_len)
+                for value, written in [(got.actuals, actuals)] + [(got.predictions[m], predictions[m]) for m in methods]:
+                    assert np.array_equal(value, written, equal_nan=True)
+                    signed = ~np.isnan(written)
+                    assert np.array_equal(np.signbit(value[signed]), np.signbit(written[signed]))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+    @pytest.mark.parametrize("bad", ["a,M,twelve,2.0,2.5", "a,M,12,2.0,half", "a,M,12,2.0", "a,M,12,2.0,2.5,0"])
+    @pytest.mark.parametrize("at", [0, 2, 5])
+    def test_malformed_row_names_its_line(self, tmp_path, monkeypatch, chunk, bad, at):
+        rows = [f'"x\ny",M,{t},1.0,1.5\n' for t in (11, 12, 13)] + [f"a,M,{t},1.0,1.5\n" for t in (11, 12, 13)]
+        rows.insert(at, bad + "\n")
+        path = tmp_path / "t.csv"
+        path.write_text("series_id,method,t,actual,prediction\n" + "".join(rows), encoding="utf-8", newline="")
+        monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
+        with pytest.raises(ConfigError, match=re.escape(f"malformed row at line {at + 2} of {path}")):
+            load_traces(path)
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        # the row-by-row loader rejected a blank line (exit 1); loadtxt skips it
+        path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "", "a,M,12,2.0,2.5"])
+        got, expected = load_both(path)
+        assert isinstance(expected, ConfigError) and "line 3" in str(expected)
+        assert np.array_equal(got.predictions["M"], [[1.5, 2.5]])
+
+    def test_underscore_in_a_number_is_malformed(self, tmp_path):
+        # float() reads "1_0" as 10.0; loadtxt rejects it
+        path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "a,M,12,2.0,1_0"])
+        got, expected = load_both(path)
+        assert expected.predictions["M"][0, 1] == 10.0
+        assert isinstance(got, ConfigError) and f"malformed row at line 3 of {path}" in str(got)
+
+    def test_far_positions_rejected_before_any_array_is_sized(self, tmp_path):
+        path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", f"a,M,{10**15},2.0,2.5"])
+        with pytest.raises(ConfigError, match="span more rows than"):
+            load_traces(path)
+
+    def test_positions_may_come_before_the_first(self, tmp_path, monkeypatch):
+        # a later chunk widens the arrays towards smaller t
+        monkeypatch.setattr(core, "CSV_CHUNK_ROWS", 2)
+        rows = ["b,N,13,3.0,3.5", "b,N,14,4.0,4.5", "a,M,13,3.0,3.0", "a,M,14,4.0,4.0", "a,M,12,2.0,2.0", "a,M,11,1.0,1.0"]
+        rows += ["b,N,12,2.0,2.5", "b,N,11,1.0,1.5"]
+        run = load_traces(write_trace_text(tmp_path / "t.csv", rows))
+        assert (run.series_ids, run.methods, run.train_len, run.horizon) == (("b", "a"), ("N", "M"), 10, 4)
+        assert np.array_equal(run.predictions["M"], [[np.nan] * 4, [1.0, 2.0, 3.0, 4.0]], equal_nan=True)
+        assert np.array_equal(run.actuals, [[1.0, 2.0, 3.0, 4.0]] * 2)

@@ -23,7 +23,7 @@ def dataset_from(values_list, train_len=None):
     series = []
     for i, v in enumerate(values_list):
         series.append(TimeSeries(id=f"s{i}", values=v, train_len=train_len or len(v)))
-    return Dataset(name="d", series=tuple(series))
+    return Dataset.from_series(name="d", series=tuple(series))
 
 
 def lag_matrix(values, p, first, last):

@@ -1,24 +1,116 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftcast import simulate
-from driftcast.core import ConfigError, derive_series_seed, save_dataset
+from driftcast.core import ConfigError, derive_series_seed, save_dataset, spawned_seed
 from driftcast.simulate import (
     SIM_DRIFT_KINDS,
-    ArProcess,
     SimConfig,
     check_stationary,
     combine_gradual,
     combine_incremental,
     combine_sudden,
-    component_pair,
     draw_drift_meta,
-    gen_ar,
     make_dataset,
     make_series,
 )
+
+
+# The scalar AR generator that the simulator ran once per trajectory
+# before it ran all series of a kind at once: the reference for
+# ``make_dataset`` and ``make_series``.
+
+
+@dataclass(frozen=True)
+class ArProcess:
+    """An AR(p) recursion around ``mean``:
+    x_t = mean + sum_k phi_k (x_{t-k} - mean) + N(0, noise_sd^2).
+
+    ``initial`` supplies the p values preceding the first generated
+    point, oldest first.
+    """
+
+    coeffs: tuple
+    noise_sd: float
+    initial: tuple
+    seed: int
+    mean: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "initial", tuple(float(v) for v in self.initial))
+        if len(self.initial) != len(self.coeffs):
+            raise ConfigError("need exactly one initial value per AR coefficient")
+        if not self.noise_sd > 0:
+            raise ConfigError("noise_sd must be positive")
+        if not math.isfinite(self.mean):
+            raise ConfigError("mean must be finite")
+
+
+def gen_ar(proc: ArProcess, n: int, burn_in: int = 0) -> np.ndarray:
+    """Simulate ``n`` values of the process after discarding ``burn_in``.
+
+    The scalar reference for the series-batched recursion that
+    ``make_dataset`` runs: its rows must equal this output bit for bit.
+    """
+    check_stationary(proc.coeffs)
+    if n < 1 or burn_in < 0:
+        raise ConfigError("need n >= 1 and burn_in >= 0")
+    rng = np.random.default_rng(proc.seed)
+    eps = rng.normal(0.0, proc.noise_sd, size=burn_in + n)
+    phi = proc.coeffs
+    p = len(phi)
+    mu = proc.mean
+    xs = [v - mu for v in proc.initial]
+    for e in eps.tolist():
+        x = e
+        for k in range(p):
+            x += phi[k] * xs[-1 - k]
+        xs.append(x)
+    out = np.asarray(xs[p + burn_in :])
+    if mu != 0.0:
+        out += mu
+    return out
+
+
+def component_pair(cfg: SimConfig, series_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two source trajectories for one series.
+
+    The pre-drift trajectory uses ``ar_coeffs`` around ``mean``; the
+    post-drift one uses ``ar_coeffs_2`` around this series' post-drift
+    mean. Noise streams are independent; ts1 starts at its mean, ts2
+    from Gaussian draws under its own stream.
+
+    The scalar reference for ``make_dataset``, which draws the same
+    streams and runs both recursions across all series at once.
+    """
+    p = len(cfg.ar_coeffs)
+    proc1 = ArProcess(
+        coeffs=cfg.ar_coeffs,
+        noise_sd=cfg.noise_sd,
+        initial=(cfg.mean,) * p,
+        seed=spawned_seed(series_seed, simulate._STREAM_TS1),
+        mean=cfg.mean,
+    )
+    mean_2 = simulate.series_mean_2(cfg, series_seed)
+    init2 = np.random.default_rng(spawned_seed(series_seed, simulate._STREAM_TS2_INIT)).normal(
+        mean_2, cfg.noise_sd, size=p
+    )
+    proc2 = ArProcess(
+        coeffs=cfg.ar_coeffs_2,
+        noise_sd=cfg.noise_sd,
+        initial=tuple(init2),
+        seed=spawned_seed(series_seed, simulate._STREAM_TS2),
+        mean=mean_2,
+    )
+    ts1 = gen_ar(proc1, cfg.series_length, cfg.burn_in)
+    ts2 = gen_ar(proc2, cfg.series_length, cfg.burn_in)
+    return ts1, ts2
 
 
 def yule_walker_variance(phi, sd):
@@ -216,7 +308,7 @@ class TestMakeDataset:
     def test_all_values_finite(self):
         for kind in ("sudden", "incremental", "gradual"):
             ds = make_dataset(small_cfg(kind))
-            assert np.all(np.isfinite(ds.values_matrix()))
+            assert np.all(np.isfinite(ds.values))
 
     def test_make_series_matches_dataset(self):
         cfg = small_cfg("sudden")
