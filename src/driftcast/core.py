@@ -252,13 +252,10 @@ CSV_CHUNK_ROWS = 1 << 12
 def read_csv(path: str | Path, columns: dict) -> Iterator[np.ndarray]:
     """Read a CSV file that :func:`write_csv` wrote: check that its header
     row names ``columns`` (name -> dtype, ``object`` for text), then yield
-    its rows as structured arrays of up to ``CSV_CHUNK_ROWS`` rows.
-
-    Fields are unquoted as csv.writer quotes them, so a quoted field may
-    hold commas, quotes and line breaks. A blank line is skipped. A row
-    that does not parse raises ConfigError naming its line, counted from
-    the header as line 1 with one line per row (a quoted line break does
-    not count)."""
+    its rows as structured arrays of up to ``CSV_CHUNK_ROWS`` rows. A
+    quoted field may hold commas, quotes and line breaks; a blank line is
+    skipped. A row that does not parse raises ConfigError naming its
+    line: the header is line 1, and each row one line."""
     path = Path(path)
     dtype = np.dtype(list(columns.items()))
     with open(path, encoding="utf-8", newline="") as fh:

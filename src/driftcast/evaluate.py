@@ -43,8 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from driftcast.combine import DEFAULT_PAIRINGS, NON_FINITE_RSS
-from driftcast.core import ConfigError, Dataset, FitError, csv_field, csv_rows, format_floats, key_runs, read_csv
-from driftcast.core import write_csv
+from driftcast.core import ConfigError, Dataset, FitError, csv_field, csv_rows, format_floats, key_runs, read_csv, write_csv
 from driftcast.learners import (
     DEFAULT_GLOBAL_LAGS,
     DEFAULT_RIDGE_LAMBDA,
@@ -717,7 +716,7 @@ def load_traces(path: str | Path) -> RunResult:
     series: dict[str, int] = {}  # id -> row, in order of first appearance
     methods: dict[str, int] = {}
     lo = 0  # the position t of the arrays' first column
-    counts = np.zeros((0, 0, 0), dtype=np.int32)  # rows read per (method, series, t)
+    counts = np.zeros((0, 0, 0), dtype=np.uint8)  # rows read per (method, series, t), up to 2
     predictions = np.zeros((0, 0, 0))
     actuals = np.zeros((0, 0))  # per (series, t), from the first row that holds it
     differ = None  # a series whose actuals differ between rows
@@ -733,9 +732,14 @@ def load_traces(path: str | Path) -> RunResult:
             raise ConfigError(f"positions t={first}..{last} span more rows than {path} holds")
         # as many ids as seen, rounded up to a power of two so that the arrays grow rarely
         shape = (1 << (len(methods) - 1).bit_length(), 1 << (len(series) - 1).bit_length(), last - first + 1)
-        if shape != counts.shape:
+        if shape[1:] != counts.shape[1:]:
             counts, predictions = _regrid(counts, shape, lo - first, 0), _regrid(predictions, shape, lo - first, np.nan)
             actuals, lo = _regrid(actuals, shape[1:], lo - first, np.nan), first
+        elif shape[0] != len(counts):  # a new method: extend in place rather than beside a copy
+            grown = len(counts)
+            counts.resize(shape, refcheck=False)
+            predictions.resize(shape, refcheck=False)
+            predictions[grown:] = np.nan
         col = t - lo
         new = ~counts[:, s, col].any(axis=0)
         actuals[s[new], col[new]] = actual[new]
@@ -743,7 +747,8 @@ def load_traces(path: str | Path) -> RunResult:
         mismatch = (kept != actual) & ~(np.isnan(kept) & np.isnan(actual))
         if differ is None and mismatch.any():
             differ = sid[np.argmax(mismatch)]
-        np.add.at(counts, (m, s, col), 1)
+        cells, times = np.unique(np.ravel_multi_index((m, s, col), counts.shape), return_counts=True)
+        counts.flat[cells] = np.minimum(counts.flat[cells] + times, 2)
         predictions[m, s, col] = chunk["prediction"]
     if not series:
         raise ConfigError(f"trace file {path} holds no rows")
@@ -753,7 +758,7 @@ def load_traces(path: str | Path) -> RunResult:
     if np.any(rows[rows > 0] != horizon):
         raise ConfigError("inconsistent horizon lengths across traces")
     start = int(np.argmax(counts[0, 0] > 0))
-    train_len, once = lo + start - 1, np.zeros(counts.shape[2], dtype=np.int32)
+    train_len, once = lo + start - 1, np.zeros(counts.shape[2], dtype=np.uint8)
     once[start : start + horizon] = 1
     wrong = np.argwhere((rows > 0) & np.any(counts != once, axis=2))
     if wrong.size:
