@@ -649,6 +649,9 @@ def drift_region_split(dataset: Dataset, report: EvalReport, metric: str = "rmse
     return out
 
 
+TRACE_COLUMNS = {"series_id": object, "method": object, "t": np.int64, "actual": np.float64, "prediction": np.float64}
+
+
 def write_traces(path: str | Path, run: RunResult) -> Path:
     """Forecast trace CSV: ``series_id,method,t,actual,prediction``
     with t the 1-based series position."""
@@ -657,7 +660,7 @@ def write_traces(path: str | Path, run: RunResult) -> Path:
     actuals = [format_floats(row) for row in run.actuals]  # shared by every method
     return write_csv(
         path,
-        ["series_id", "method", "t", "actual", "prediction"],
+        list(TRACE_COLUMNS),
         (
             csv_rows((sid, csv_name), positions, actuals[i], format_floats(run.predictions[name][i]))
             for name, csv_name in zip(run.methods, map(csv_field, run.methods))
@@ -689,9 +692,6 @@ def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> lis
             chunks = (csv_rows(*shared[i], *map(format_floats, table[i, : steps[i], j].T)) for i in recorded)
             paths.append(write_csv(path, header, chunks))
     return paths
-
-
-TRACE_COLUMNS = {"series_id": object, "method": object, "t": np.int64, "actual": np.float64, "prediction": np.float64}
 
 
 def _regrid(arr: np.ndarray, shape: tuple, shift: int, fill) -> np.ndarray:

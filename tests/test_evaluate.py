@@ -34,6 +34,7 @@ from driftcast.evaluate import (
 )
 from driftcast.learners import ForecastModel, fit_ets, predict_one
 from driftcast.simulate import SimConfig, make_dataset
+from test_core import write_rows
 
 
 def tiny_dataset(kind="sudden", n_series=6, length=120, train_len=90, seed=2718):
@@ -726,14 +727,6 @@ def trace_rows(run):
     ]
 
 
-def write_trace_rows(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "method", "t", "actual", "prediction"])
-        writer.writerows(rows)
-    return path
-
-
 def load_both(path):
     """``load_traces`` and the oracle on one file: each result, or the
     ConfigError it raised."""
@@ -996,7 +989,7 @@ class TestTraceReader:
             rows[k] = (sid, name, t, "1.5" if actual == "nan" else "nan", prediction)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "CSV_CHUNK_ROWS", data.draw(st.integers(1, 7)))
-            got, expected = load_both(write_trace_rows(Path(tmp) / "traces.csv", rows))
+            got, expected = load_both(write_rows(Path(tmp) / "traces.csv", list(evaluate.TRACE_COLUMNS), rows))
         if isinstance(expected, ConfigError):
             assert isinstance(got, ConfigError)
         else:
