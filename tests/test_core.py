@@ -328,6 +328,7 @@ class TestDatasetReader:
             [("a", 1, "1.0"), ("a", 2, "2.0")],  # a series of the sidecar missing
             [("a", 1, "1.0"), ("a", 2, "2.0"), ("b", 1, "1.0"), ("b", 2, "2.0"), ("c", 1, "1.0")],  # one more
             [("a", 1, "1.0"), ("a", 2, "2.0"), ("b", 1, "1.0")],  # a short series
+            [("a", 1, "1.0"), ("a", 2, "2.0"), ("a", 3, "3.0"), ("b", 1, "1.0"), ("b", 2, "2.0")],  # a long one
             [("a", 1, "1.0"), ("a", 2, "inf"), ("b", 1, "1.0"), ("b", 2, "2.0")],  # not finite
         ],
     )

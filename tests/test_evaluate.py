@@ -1028,6 +1028,14 @@ class TestTraceReader:
         assert expected.predictions["M"][0, 1] == 10.0
         assert isinstance(got, ConfigError) and f"malformed row at line 3 of {path}" in str(got)
 
+    @pytest.mark.parametrize("chunk", [1, 64])
+    def test_pair_absent_from_the_file_reads_nan(self, tmp_path, monkeypatch, chunk):
+        # method N turns up after every series, and never for series b
+        monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
+        got, expected = load_both(write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "b,M,11,2.0,2.5", "a,N,11,1.0,1.0"]))
+        assert_same_run(got, expected)
+        assert np.array_equal(got.predictions["N"], [[1.0], [np.nan]], equal_nan=True)
+
     def test_far_positions_rejected_before_any_array_is_sized(self, tmp_path):
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", f"a,M,{10**15},2.0,2.5"])
         with pytest.raises(ConfigError, match="span more rows than"):
