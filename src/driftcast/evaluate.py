@@ -1,16 +1,21 @@
 """Prequential evaluation harness and error reporting.
 
-The forecast horizon is split into equal blocks. At each block
-boundary every configured method is refitted on all observations seen
-so far; inside a block, forecasts are produced one step ahead with the
+The forecast horizon is split into equal blocks, and each block
+boundary runs one protocol on all observations seen so far: fit the
+pooled global models that the methods read (``_submodels``) and
+forecast the block with them; refit each method in a fit step that
+returns its forecaster of the block; then count the fits and store
+the forecasts. Inside a block, forecasts are one step ahead with the
 origin rolling over the true observations and no refitting. The
-adaptive combiners keep their weight state across block boundaries
-(weights belong to the online stream, models are refreshed).
+adaptive combiners keep their weights across block boundaries
+(weights belong to the online stream, models are refreshed). A fit
+step fails a whole method by raising ``FitError`` (an ETS window too
+short, a failed global fit or combiner sub-model), and single series
+through ``fail`` (a local AR fit, a diverged combiner).
 
-The pooled global models for all blocks are fitted up front (they
-depend only on the dataset and the config). A batch engine then
-advances every series of the dataset, held as one (n_series x length)
-array, through the horizon with numpy operations across the batch:
+The engine advances every series of the dataset, held as one
+(n_series x length) array, through a block with numpy operations
+across the batch:
 
 * AR forecasts, global and local, are one array operation per lag for
   a whole block, summed in lag order from zero like ``predict_one``;
@@ -200,17 +205,20 @@ class RunResult:
     weight_traces: Optional[dict] = None
 
 
+def _submodels(name: str) -> tuple:
+    """The pooled global models method ``name`` reads, sorted: a global
+    model reads itself, a combiner the sub-models of every pairing."""
+    family = METHODS[name].family
+    if family == "global_ar":
+        return (name,)
+    if family in ("ecw", "gdw"):
+        return tuple(sorted({sub for pair in PAIRING_SUBMODELS for sub in pair}))
+    return ()
+
+
 def needed_global_models(methods: Sequence[MethodSpec]) -> tuple:
-    """Global fits required by the configured methods (baselines plus
-    the four weighted sub-models when a combiner is present)."""
-    names = set()
-    for m in methods:
-        family = METHODS[m.name].family
-        if family == "global_ar":
-            names.add(m.name)
-        elif family in ("ecw", "gdw"):
-            names.update(sub for pair in PAIRING_SUBMODELS for sub in pair)
-    return tuple(sorted(names))
+    """Global fits required by the configured methods, sorted."""
+    return tuple(sorted({g for m in methods for g in _submodels(m.name)}))
 
 
 def _global_learner_spec(name: str, cfg: EvalConfig) -> LearnerSpec:
@@ -343,29 +351,27 @@ class _CombinerBank:
         return np.stack([self.y_partial, self.y_all, self.w_p, self.w_a, self.pred], axis=-1)
 
 
-def _evaluate_batch(
-    values: np.ndarray, train_len: int, cfg: EvalConfig, global_fits: list, capture_weights: bool
-) -> tuple:
-    """Run every configured method over the horizon of each row of
-    ``values`` (one series per row), advancing all rows together.
-    ``global_fits`` holds each block's pooled models and fit failures.
-    Returns predictions and fit counts per method, failure messages per
+def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool) -> tuple:
+    """Run every configured method over the horizon of every series of
+    ``dataset``, all series together, one block at a time. Returns
+    predictions and fit counts per method, failure messages per
     method keyed by row, and, with ``capture_weights``, each combiner's
     weight traces as :attr:`RunResult.weight_traces` holds them."""
-    n = values.shape[0]
-    horizon, block_size = cfg.horizon, cfg.block_size
+    values, train_len = dataset.values, dataset.train_len
+    n = len(dataset)
     V = np.ascontiguousarray(values.T)  # V[t]: every series' value at position t
     names = [m.name for m in cfg.methods]
-    preds = {name: np.full((n, horizon), np.nan) for name in names}
+    preds = {name: np.full((n, cfg.horizon), np.nan) for name in names}
     fit_counts = {name: np.zeros(n, dtype=int) for name in names}
     failed: dict = {name: {} for name in names}
     ok = {name: np.ones(n, dtype=bool) for name in names}
-    banks = {m.name: _CombinerBank(m, n) for m in cfg.methods if METHODS[m.name].family in ("ecw", "gdw")}
-    ets_grids: dict = {}
+    global_specs = {g: _global_learner_spec(g, cfg) for g in needed_global_models(cfg.methods)}
+    # per method, the state kept from block to block: a combiner's bank, or an ETS grid once fitted
+    carried = {m.name: _CombinerBank(m, n) for m in cfg.methods if METHODS[m.name].family in ("ecw", "gdw")}
     weights = None
     if capture_weights:
         weights = {
-            name: (np.zeros(n, dtype=int), np.full((n, horizon, len(DEFAULT_PAIRINGS), 5), np.nan)) for name in banks
+            name: (np.zeros(n, dtype=int), np.full((n, cfg.horizon, len(DEFAULT_PAIRINGS), 5), np.nan)) for name in carried
         }
 
     def fail(name: str, rows, message: str) -> None:
@@ -376,71 +382,88 @@ def _evaluate_batch(
             failed[name][int(i)] = message
         ok[name][rows] = False
 
+    # each fit step fits method ``m`` on the positions before ``start`` and
+    # returns the forecaster of the block [start, stop)
+
+    def local_ar(m: MethodSpec, start: int, stop: int):
+        record = METHODS[m.name]
+        coef, intercept = np.zeros((n, record.lags)), np.zeros(n)
+        for i in np.flatnonzero(ok[m.name]):
+            try:
+                model = fit_local_ar(values[i, :start], record.lags, record.window)
+            except FitError as exc:
+                fail(m.name, i == np.arange(n), str(exc))
+                continue
+            coef[i], intercept[i] = model.coef, model.intercept
+        return lambda: _ar_forecasts(V, start, stop, coef, intercept)
+
+    def ets(m: MethodSpec, start: int, stop: int):
+        first = start - ets_window(METHODS[m.name].window, start)
+        grid = carried.get(m.name)
+        if grid is None or grid.first != first:
+            grid = carried[m.name] = _EtsGrid(V, first)
+        level, alpha = grid.fit(V, start)
+        return lambda: _ets_forecasts(V, start, stop, level, alpha)
+
+    def global_ar(m: MethodSpec, start: int, stop: int):
+        forecasts = block_globals[m.name]
+        if isinstance(forecasts, FitError):
+            raise forecasts
+        return lambda: forecasts
+
+    def combiner(m: MethodSpec, start: int, stop: int):
+        broken = [g for g in _submodels(m.name) if isinstance(block_globals[g], FitError)]
+        if broken:
+            raise FitError(f"sub-model fit failed: {broken}")
+        name, bank = m.name, carried[m.name]
+
+        def forecast() -> np.ndarray:
+            y_partial = np.stack([block_globals[partial] for partial, _ in PAIRING_SUBMODELS], axis=-1)
+            y_all = np.stack([block_globals[full] for _, full in PAIRING_SUBMODELS], axis=-1)
+            out = np.empty((stop - start, n))
+            for k, t in enumerate(range(start, stop)):
+                out[k], bad = bank.step(y_partial[k], y_all[k], V[t - 1])
+                preds[name][bad & ok[name]] = np.nan  # a diverged combiner keeps no forecasts
+                fail(name, bad, f"combiner diverged at t={t + 1}: {NON_FINITE_RSS}")
+                if capture_weights:
+                    steps, table = weights[name]
+                    table[:, t - train_len] = bank.weight_row()
+                    steps[ok[name]] += 1
+            return out
+
+        return forecast
+
+    def oracle(m: MethodSpec, start: int, stop: int):  # reads the actuals; it needs no fit
+        return lambda: V[start:stop]
+
+    fit_step = dict(local_ar=local_ar, ets=ets, global_ar=global_ar, ecw=combiner, gdw=combiner, oracle=oracle)
+
     # diverging data overflows by design: it surfaces as non-finite
     # forecasts (failures in build_report) or a diverged combiner
     with np.errstate(all="ignore"):
-        for b, (global_models, global_failures) in enumerate(global_fits):
-            start, stop = train_len + b * block_size, train_len + (b + 1) * block_size
-            block_globals = {
-                g: _ar_forecasts(V, start, stop, model.coef, model.intercept)
-                for g, model in global_models.items()
-            }
+        for start in range(train_len, train_len + cfg.horizon, cfg.block_size):
+            stop = start + cfg.block_size
+            block_globals = {}  # per global model: its forecasts of the block, or its fit's FitError
+            for g, spec in global_specs.items():
+                try:
+                    model = fit_global_ar(dataset, start, spec)
+                except FitError as exc:
+                    block_globals[g] = exc
+                else:
+                    block_globals[g] = _ar_forecasts(V, start, stop, model.coef, model.intercept)
             for m in cfg.methods:
                 name = m.name
                 if not ok[name].any():
                     continue
-                record = METHODS[name]
-                if record.family == "ets":
-                    try:
-                        first = start - ets_window(record.window, start)
-                    except FitError as exc:
-                        fail(name, True, str(exc))
-                        continue
-                    grid = ets_grids.get(name)
-                    if grid is None or grid.first != first:
-                        grid = ets_grids[name] = _EtsGrid(V, first)
-                    fit_counts[name][ok[name]] += 1
-                    forecasts = _ets_forecasts(V, start, stop, *grid.fit(V, start))
-                elif record.family == "local_ar":
-                    coef, intercept = np.zeros((n, record.lags)), np.zeros(n)
-                    for i in np.flatnonzero(ok[name]):
-                        try:
-                            model = fit_local_ar(values[i, :start], record.lags, record.window)
-                        except FitError as exc:
-                            fail(name, i == np.arange(n), str(exc))
-                            continue
-                        coef[i], intercept[i] = model.coef, model.intercept
-                    if not ok[name].any():  # the history may not even hold p lags
-                        continue
-                    fit_counts[name][ok[name]] += 1
-                    forecasts = _ar_forecasts(V, start, stop, coef, intercept)
-                elif record.family == "global_ar":
-                    if name in global_failures:
-                        fail(name, True, global_failures[name])
-                        continue
-                    fit_counts[name][ok[name]] += 1
-                    forecasts = block_globals[name]
-                elif record.family in ("ecw", "gdw"):
-                    broken = sorted({sub for pair in PAIRING_SUBMODELS for sub in pair if sub in global_failures})
-                    if broken:
-                        fail(name, True, f"sub-model fit failed: {broken}")
-                        continue
-                    fit_counts[name][ok[name]] += 1
-                    y_partial = np.stack([block_globals[partial] for partial, _ in PAIRING_SUBMODELS], axis=-1)
-                    y_all = np.stack([block_globals[full] for _, full in PAIRING_SUBMODELS], axis=-1)
-                    forecasts = np.empty((block_size, n))
-                    for k in range(block_size):
-                        t = start + k
-                        forecasts[k], bad = banks[name].step(y_partial[k], y_all[k], V[t - 1])
-                        preds[name][bad & ok[name]] = np.nan  # a diverged combiner keeps no forecasts
-                        fail(name, bad, f"combiner diverged at t={t + 1}: {NON_FINITE_RSS}")
-                        if capture_weights:
-                            steps, table = weights[name]
-                            table[:, t - train_len] = banks[name].weight_row()
-                            steps[ok[name]] += 1
-                else:  # the oracle reads the actual; it needs no fit
-                    fit_counts[name] += 1
-                    forecasts = V[start:stop]
+                try:
+                    forecast = fit_step[METHODS[name].family](m, start, stop)
+                except FitError as exc:
+                    fail(name, True, str(exc))
+                    continue
+                if not ok[name].any():  # every series' fit failed
+                    continue
+                fit_counts[name][ok[name]] += 1
+                forecasts = forecast()
                 preds[name][:, start - train_len : stop - train_len] = np.where(ok[name], forecasts, np.nan).T
 
     return preds, fit_counts, failed, weights
@@ -459,30 +482,14 @@ def prequential_run(dataset: Dataset, cfg: EvalConfig, capture_weights: bool = F
             f"series of length {dataset.series_length} cannot host train_len "
             f"{dataset.train_len} plus horizon {cfg.horizon}"
         )
-    needed = needed_global_models(cfg.methods)
-    global_fits = []
-    for b in range(cfg.n_blocks):
-        fit_through = dataset.train_len + b * cfg.block_size
-        models: dict[str, object] = {}
-        failures: dict[str, str] = {}
-        for name in needed:
-            try:
-                models[name] = fit_global_ar(dataset, fit_through, _global_learner_spec(name, cfg))
-            except FitError as exc:
-                failures[name] = str(exc)
-        global_fits.append((models, failures))
-
-    values = dataset.values
-    predictions, fit_counts, failed, weights = _evaluate_batch(
-        values, dataset.train_len, cfg, global_fits, capture_weights
-    )
+    predictions, fit_counts, failed, weights = _evaluate_batch(dataset, cfg, capture_weights)
     series_ids = dataset.ids
     return RunResult(
         series_ids=series_ids,
         methods=tuple(m.name for m in cfg.methods),
         train_len=dataset.train_len,
         horizon=cfg.horizon,
-        actuals=values[:, dataset.train_len : dataset.train_len + cfg.horizon].copy(),
+        actuals=dataset.values[:, dataset.train_len : dataset.train_len + cfg.horizon].copy(),
         predictions=predictions,
         fit_counts=fit_counts,
         failures={name: {series_ids[i]: msg for i, msg in sorted(rows.items())} for name, rows in failed.items()},

@@ -5,8 +5,9 @@ Three families, each trainable on the full history or the most recent
 
 * ``global_ar``: one pooled autoregressive ridge model fitted across
   every series of a dataset (the built-in stand-in for a gradient
-  boosted global learner; any model exposing the same fit/predict
-  surface can replace it),
+  boosted global learner; a replacement plugs into the global phase of
+  the engine in :mod:`driftcast.evaluate`, which reads only ``coef``
+  and ``intercept`` of the fitted model),
 * ``local_ar``: per-series AR(p) by ordinary least squares,
 * ``ets``: per-series simple exponential smoothing (level only) with
   the smoothing constant grid-searched on in-sample one-step error.

@@ -484,9 +484,15 @@ class TestBatchEngine:
 
         monkeypatch.setattr(evaluate, "fit_global_ar", fit_failing_from_block_2)
         cfg = EvalConfig(horizon=30, block_size=10, methods=specs("Plain_All", "GDW", "ECW", "AR3_All"), global_lags=3)
-        run = prequential_run(ds, cfg)
+        run = prequential_run(ds, cfg, capture_weights=True)
+        assert_matches_replay(run, ds, cfg)
+        assert run.failures["Plain_All"] == dict.fromkeys(run.series_ids, "synthetic failure")
+        broken = "sub-model fit failed: ['EXP_200', 'EXP_All', 'Linear_200', 'Linear_All']"
+        for name in ("GDW", "ECW"):
+            assert run.failures[name] == dict.fromkeys(run.series_ids, broken), name
+            assert list(run.weight_traces[name][0]) == [10] * len(ds), name  # steps of the first block
         for name in ("Plain_All", "GDW", "ECW"):
-            assert len(run.failures[name]) == len(ds), name
+            assert list(run.fit_counts[name]) == [1] * len(ds), name
             assert np.all(np.isfinite(run.predictions[name][:, :10])), name
         assert run.failures["AR3_All"] == {}
         self.assert_failures_not_scored(run)
