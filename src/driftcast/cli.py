@@ -42,6 +42,7 @@ from driftcast.core import (
     csv_rows,
     format_floats,
     load_dataset,
+    read_sidecar,
     save_dataset,
     sidecar_path,
     write_csv,
@@ -72,20 +73,23 @@ PRESETS = ("desk", "paper")
 
 
 def _is_number(value) -> bool:
-    # bool is an int subclass; a boolean never counts as a number
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # bool is an int subclass; a boolean never counts as a number. json
+    # reads NaN, +-Infinity and ints of any size, so a number must lie in
+    # the finite float64 range; abs() compares an int with it exactly,
+    # where math.isfinite would overflow on a huge one
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 # config field type -> its JSON type and the check of a parsed value;
 # Optional[float] rejects null, as a key left out already means None
 _JSON_TYPES = {
-    int: ("an integer", lambda value: _is_number(value) and isinstance(value, int)),
-    float: ("a number", _is_number),
-    Optional[float]: ("a number", _is_number),
+    int: ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
+    float: ("a finite number", _is_number),
+    Optional[float]: ("a finite number", _is_number),
     bool: ("a boolean", lambda value: isinstance(value, bool)),
     str: ("a string", lambda value: isinstance(value, str)),
     list: ("a list", lambda value: isinstance(value, list)),
-    tuple: ("a list of numbers", lambda value: isinstance(value, list) and all(map(_is_number, value))),
+    tuple: ("a list of finite numbers", lambda value: isinstance(value, list) and all(map(_is_number, value))),
 }
 
 
@@ -319,9 +323,7 @@ def _load_or_simulate(sim: SimConfig, out_dir: Path) -> Dataset:
     CSV is read only when the sidecar's config matches."""
     csv_path, meta_path = dataset_paths(out_dir, sim.drift_kind)
     if csv_path.exists() and meta_path.exists():
-        with open(meta_path, encoding="utf-8") as fh:
-            stored = json.load(fh).get("generator_config")
-        if stored == json.loads(json.dumps(asdict(sim))):
+        if read_sidecar(csv_path)["generator_config"] == json.loads(json.dumps(asdict(sim))):
             return load_dataset(csv_path)
     return _simulate(sim, out_dir)
 

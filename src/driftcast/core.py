@@ -330,6 +330,32 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return csv_path.with_suffix(".meta.json")
 
 
+_SIDECAR_KEYS = ("name", "series_length", "train_len", "generator_config", "series")
+
+
+def _holds(obj, *keys: str) -> bool:
+    return isinstance(obj, dict) and all(key in obj for key in keys)
+
+
+def read_sidecar(csv_path: str | Path) -> dict:
+    """The sidecar of the dataset file ``csv_path``. One that is not
+    JSON, or lacks a key of ``_SIDECAR_KEYS`` or a series' ``id``,
+    ``drift`` or drift ``kind``, raises ConfigError naming it."""
+    meta_path = sidecar_path(csv_path)
+    with open(meta_path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"sidecar {meta_path} is not valid JSON: {exc}") from exc
+    if not (
+        _holds(meta, *_SIDECAR_KEYS)
+        and isinstance(meta["series"], list)
+        and all(_holds(entry, "id", "drift") and _holds(entry["drift"], "kind") for entry in meta["series"])
+    ):
+        raise ConfigError(f"sidecar {meta_path} lacks a key of {_SIDECAR_KEYS}, or a series' id, drift or drift kind")
+    return meta
+
+
 def load_dataset(csv_path: str | Path) -> Dataset:
     """Inverse of :func:`save_dataset`; positions and values round-trip
     exactly. The CSV must hold, for every series of the sidecar and no
@@ -339,8 +365,7 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     meta_path = sidecar_path(csv_path)
     if not csv_path.exists() or not meta_path.exists():
         raise ConfigError(f"dataset files missing: {csv_path} / {meta_path}")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_sidecar(csv_path)
     ids = [entry["id"] for entry in meta["series"]]
     row_of = {sid: i for i, sid in enumerate(ids)}
     length = meta["series_length"]
@@ -361,7 +386,7 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     if short.size:
         raise ConfigError(f"series {ids[short[0]]!r} holds {filled[short[0]]} of {length} positions in {csv_path}")
     drifts = [DriftMeta.from_dict(entry["drift"]) for entry in meta["series"]]
-    return Dataset(meta["name"], ids, values, meta["train_len"], drifts, meta.get("generator_config"))
+    return Dataset(meta["name"], ids, values, meta["train_len"], drifts, meta["generator_config"])
 
 
 def spawned_seed(seed: int, stream: int) -> int:

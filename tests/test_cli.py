@@ -100,11 +100,30 @@ class TestValidation:
             {"evaluate": [1]},
             {"stats": 0.05},
             {"output": "out"},
+            {"methods": [{"name": "GDW", "eta": float("nan")}]},
+            {"evaluate": {"ridge_lambda": float("inf")}},
+            {"evaluate": {"beta": float("-inf")}},
+            {"simulate": {"sudden": {"mean_2_high": float("inf")}}},
+            {"methods": [{"name": "GDW", "eta": 10**400}]},
+            {"stats": {"alpha": -(10**400)}},
         ],
     )
     def test_json_types(self, override):
         with pytest.raises(ConfigError):
             validate_config(tiny_document(**override))
+
+    def test_literal_nan_in_a_config_file_names_the_key(self, tmp_path, capsys):
+        # json reads the literals NaN and Infinity, which no config value may hold
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()).replace('{"name": "GDW"}', '{"name": "GDW", "eta": NaN}'))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "methods[2].eta must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_integer_passes_the_type_check(self):
+        # an integer field takes any int; the range check of its field rejects it
+        with pytest.raises(ConfigError, match="base_seed must fit in 64 bits"):
+            validate_config(tiny_document(simulate={"sudden": {"base_seed": 10**400}}))
 
     def test_method_flags(self):
         doc = tiny_document()
@@ -288,6 +307,30 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert (out / "traces" / "sudden.csv").exists()
         assert not (out / "traces" / "gradual.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            lambda text: "{ not json",
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "train_len"}),
+            lambda text: text.replace('"kind"', '"kinds"', 1),
+            lambda text: "[]",
+        ],
+        ids=["not-json", "no-train_len", "no-drift-kind", "not-an-object"],
+    )
+    def test_malformed_sidecar_is_a_validation_error(self, tmp_path, capsys, command, sidecar):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        meta = out / "datasets" / "gradual.meta.json"
+        meta.write_text(sidecar(meta.read_text()))
+        bad = meta.read_bytes()
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert f"sidecar {meta}" in capsys.readouterr().err
+        assert meta.read_bytes() == bad  # not simulated over
 
     def test_accuracy_report_layout(self, tmp_path):
         doc = tiny_document()
