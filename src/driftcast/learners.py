@@ -14,6 +14,8 @@ Three families, each trainable on the full history or the most recent
 
 Recency weighting (see :mod:`driftcast.weighting`) enters the global
 learner as per-row loss weights; local benchmarks are unweighted.
+Both AR families build their design rows ``[lag 1 ... lag p, 1]`` with
+one helper, ``_design_rows``, from one contiguous slice per lag.
 """
 
 from __future__ import annotations
@@ -80,15 +82,16 @@ class ForecastModel:
     smoothing: Optional[float] = None
 
 
-def _lag_rows(values: np.ndarray, p: int, first_target: int, last_target: int):
-    """Design rows for targets in [first_target, last_target) of
-    ``values``; column k holds lag k+1."""
-    targets = np.arange(first_target, last_target)
-    y = values[targets]
-    X = np.empty((targets.size, p))
+def _design_rows(values: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the rows ``[lag 1 ... lag p, 1]`` of the targets
+    ``values[first:]``, ``p = out.shape[1] - 1``, and return those
+    targets. Each lag column is one contiguous slice copy."""
+    n = len(values)
+    p = out.shape[1] - 1
     for k in range(1, p + 1):
-        X[:, k - 1] = values[targets - k]
-    return X, y
+        out[:, k - 1] = values[first - k : n - k]
+    out[:, p] = 1.0
+    return values[first:]
 
 
 def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> ForecastModel:
@@ -97,36 +100,42 @@ def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> Fo
     Uses observations 1..train_through of every series. With a
     ``last_200`` window only rows whose target falls in the final 200
     training positions enter the pooled system; lags may reach further
-    back. Row weights follow the configured weighting schedule per
-    series, oldest row lowest. Deterministic: series are accumulated
-    in dataset order.
+    back. Every series has the same rows, so one weighting schedule,
+    oldest row lowest, is computed per fit and shared by all series;
+    with literal value scaling it scales each series' window instead.
+    Deterministic: series are accumulated in dataset order.
     """
     p = spec.p
     if train_through < p + 1:
         raise FitError(f"need at least {p + 1} observations, have {train_through}")
     if train_through > dataset.series_length:
         raise FitError("train_through exceeds series length")
+    window_len = resolve_window(spec.window, train_through)
+    literal = spec.weighting.literal_value_scaling
+    if literal:
+        # Eq-style value scaling: the window's observations are
+        # multiplied by their weights and rows are built inside the
+        # scaled window with unit loss weights.
+        start, first = train_through - window_len, p
+        scale = weight_schedule(spec.weighting, window_len)
+    else:
+        start, first = 0, max(p, train_through - window_len)
+    rows = train_through - start - first
+    if rows <= 0:  # every series has these rows: the first one names the failure
+        raise FitError(f"series {dataset.ids[0]!r} contributes no rows")
+    w = np.ones(rows) if literal else weight_schedule(spec.weighting, rows)
     d = p + 1
     A = np.zeros((d, d))
     rhs = np.zeros(d)
-    for sid, values in zip(dataset.ids, dataset.values[:, :train_through]):
-        window_len = resolve_window(spec.window, train_through)
-        if spec.weighting.literal_value_scaling:
-            # Eq-style value scaling: the window's observations are
-            # multiplied by their weights and rows are built inside the
-            # scaled window with unit loss weights.
-            start = train_through - window_len
-            scaled = values[start:] * weight_schedule(spec.weighting, window_len)
-            X, y = _lag_rows(scaled, p, p, window_len)
-            w = np.ones(len(y))
-        else:
-            first_target = max(p, train_through - window_len)
-            X, y = _lag_rows(values, p, first_target, train_through)
-            w = weight_schedule(spec.weighting, len(y))
-        if len(y) == 0:
-            raise FitError(f"series {sid!r} contributes no rows")
-        Xa = np.hstack([X, np.ones((len(y), 1))])
-        wX = Xa * w[:, None]
+    Xa = np.empty((rows, d))
+    wX = np.empty((rows, d))
+    for values in dataset.values[:, start:train_through]:
+        if literal:
+            values = values * scale
+        y = _design_rows(values, first, Xa)
+        # a separate wX also under unit weights: numpy computes Xa.T @ Xa
+        # with syrk, whose bits differ from this gemm's
+        np.multiply(Xa, w[:, None], out=wX)
         A += Xa.T @ wX
         rhs += wX.T @ y
     A[np.arange(p), np.arange(p)] += spec.ridge_lambda
@@ -152,9 +161,8 @@ def fit_local_ar(values: Sequence[float], p: int, window: str = WINDOW_ALL) -> F
     window_len = resolve_window(window, len(values))
     if window_len < 2 * p + 2:
         raise FitError(f"window of {window_len} too short for AR({p})")
-    segment = values[len(values) - window_len :]
-    X, y = _lag_rows(segment, p, p, window_len)
-    Xa = np.hstack([X, np.ones((len(y), 1))])
+    Xa = np.empty((window_len - p, p + 1))
+    y = _design_rows(values[len(values) - window_len :], p, Xa)
     beta, *_ = np.linalg.lstsq(Xa, y, rcond=None)
     if not np.all(np.isfinite(beta)):
         raise FitError("least squares produced non-finite coefficients")

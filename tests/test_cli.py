@@ -426,6 +426,22 @@ class TestMainExitCodes:
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
 
+    def test_global_fit_without_rows_exits_3(self, tmp_path, capsys):
+        # 250 lags leave no target in Plain_200's scaled last-200 window:
+        # the pooled fit fails the method instead of crashing the run
+        doc = {
+            "simulate": {"sudden": {"n_series": 3, "series_length": 290, "train_len": 270, "burn_in": 50, "base_seed": 5}},
+            "methods": [{"name": "Plain_200"}, {"name": "AR3_All"}],
+            "evaluate": {"horizon": 20, "block_size": 20, "global_lags": 250, "literal_value_scaling": True},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert "warning: a method failed on 100.0% of series" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure_fractions"] == {"sudden": {"Plain_200": 1.0, "AR3_All": 0.0}}
+
     def test_every_method_failing_exits_3(self, tmp_path, capsys):
         doc = {
             "simulate": {"sudden": {"n_series": 5, "series_length": 40, "train_len": 5, "base_seed": 1}},

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcast.core import ConfigError, Dataset, FitError, TimeSeries
 from driftcast.learners import (
+    WINDOW_ALL,
+    WINDOW_LAST_200,
+    ForecastModel,
     LearnerSpec,
     fit_ets,
     fit_global_ar,
     fit_local_ar,
     predict_one,
+    resolve_window,
 )
 from driftcast.weighting import WeightingScheme, weight_schedule
 
@@ -30,6 +36,142 @@ def lag_matrix(values, p, first, last):
     targets = np.arange(first, last)
     X = np.column_stack([values[targets - k] for k in range(1, p + 1)])
     return X, values[targets]
+
+
+def _lag_rows(values, p, first_target, last_target):
+    """Design rows for targets in [first_target, last_target) of
+    ``values``; column k holds lag k+1."""
+    targets = np.arange(first_target, last_target)
+    y = values[targets]
+    X = np.empty((targets.size, p))
+    for k in range(1, p + 1):
+        X[:, k - 1] = values[targets - k]
+    return X, y
+
+
+def reference_fit_global_ar(dataset, train_through, spec):
+    """The pooled fit built row by row, one weight schedule per series:
+    the oracle for ``fit_global_ar``."""
+    p = spec.p
+    if train_through < p + 1:
+        raise FitError(f"need at least {p + 1} observations, have {train_through}")
+    if train_through > dataset.series_length:
+        raise FitError("train_through exceeds series length")
+    d = p + 1
+    A = np.zeros((d, d))
+    rhs = np.zeros(d)
+    for sid, values in zip(dataset.ids, dataset.values[:, :train_through]):
+        window_len = resolve_window(spec.window, train_through)
+        if spec.weighting.literal_value_scaling:
+            start = train_through - window_len
+            scaled = values[start:] * weight_schedule(spec.weighting, window_len)
+            X, y = _lag_rows(scaled, p, p, window_len)
+            w = np.ones(len(y))
+        else:
+            first_target = max(p, train_through - window_len)
+            X, y = _lag_rows(values, p, first_target, train_through)
+            w = weight_schedule(spec.weighting, len(y))
+        if len(y) == 0:
+            raise FitError(f"series {sid!r} contributes no rows")
+        Xa = np.hstack([X, np.ones((len(y), 1))])
+        wX = Xa * w[:, None]
+        A += Xa.T @ wX
+        rhs += wX.T @ y
+    A[np.arange(p), np.arange(p)] += spec.ridge_lambda
+    try:
+        beta = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"singular pooled system: {exc}") from exc
+    if not np.all(np.isfinite(beta)):
+        raise FitError("pooled solve produced non-finite coefficients")
+    return ForecastModel(spec=spec, fitted_through=train_through, coef=beta[:p], intercept=float(beta[p]))
+
+
+def reference_fit_local_ar(values, p, window=WINDOW_ALL):
+    """Per-series AR(p) least squares on rows built row by row: the
+    oracle for ``fit_local_ar``."""
+    values = np.asarray(values, dtype=np.float64)
+    window_len = resolve_window(window, len(values))
+    if window_len < 2 * p + 2:
+        raise FitError(f"window of {window_len} too short for AR({p})")
+    segment = values[len(values) - window_len :]
+    X, y = _lag_rows(segment, p, p, window_len)
+    Xa = np.hstack([X, np.ones((len(y), 1))])
+    beta, *_ = np.linalg.lstsq(Xa, y, rcond=None)
+    if not np.all(np.isfinite(beta)):
+        raise FitError("least squares produced non-finite coefficients")
+    spec = LearnerSpec(family="local_ar", p=p, window=window)
+    return ForecastModel(spec=spec, fitted_through=len(values), coef=beta[:p], intercept=float(beta[p]))
+
+
+def outcome(fit, *args):
+    """A fit's coefficients and intercept as uint64 bits (sign bits
+    count), or the type and message of the error it raised."""
+    try:
+        model = fit(*args)
+    except (FitError, ConfigError) as exc:
+        return type(exc).__name__, str(exc)
+    return np.append(model.coef, model.intercept).view(np.uint64).tolist()
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310, 1.0, -3.5)
+
+
+@st.composite
+def ar_series(draw, n_series, length):
+    """``n_series`` rows of ``length`` values: random normal draws,
+    constant rows and rows sprinkled with ``-0.0`` and subnormals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n_series, length)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    for row in values:
+        mode = draw(st.sampled_from(["normal", "constant", "special"]))
+        if mode == "constant":
+            row[:] = draw(st.sampled_from(SPECIAL_VALUES))
+        elif mode == "special":
+            at = draw(st.lists(st.integers(0, length - 1), max_size=length))
+            row[at] = draw(st.lists(st.sampled_from(SPECIAL_VALUES), min_size=len(at), max_size=len(at)))
+    return values
+
+
+class TestReferenceOracle:
+    """The slice-built rows give the bits of the row-by-row oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_global_matches_reference(self, data):
+        p = data.draw(st.integers(1, 12), label="p")
+        length = data.draw(st.sampled_from([p + 1, p + 2, 2 * p + 3, 205, 230]), label="length")
+        n_series = data.draw(st.integers(1, 5), label="n_series")
+        values = data.draw(ar_series(n_series, length))
+        ds = Dataset.from_series(
+            name="d", series=tuple(TimeSeries(id=f"s{i}", values=v, train_len=length) for i, v in enumerate(values))
+        )
+        scheme = WeightingScheme(
+            method=data.draw(st.sampled_from(["none", "exponential", "linear"]), label="method"),
+            alpha0=data.draw(st.sampled_from([0.5, 0.9, 1.0]), label="alpha0"),
+            beta=data.draw(st.sampled_from([0.3, 0.9]), label="beta"),
+            literal_value_scaling=data.draw(st.booleans(), label="literal"),
+        )
+        spec = LearnerSpec(
+            family="global_ar",
+            p=p,
+            window=data.draw(st.sampled_from([WINDOW_ALL, WINDOW_LAST_200]), label="window"),
+            weighting=scheme,
+            ridge_lambda=data.draw(st.sampled_from([0.0, 1e-3, 0.5]), label="ridge_lambda"),
+        )
+        train_through = data.draw(st.integers(p + 1, length), label="train_through")
+        with np.errstate(all="ignore"):
+            assert outcome(fit_global_ar, ds, train_through, spec) == outcome(reference_fit_global_ar, ds, train_through, spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_local_matches_reference(self, data):
+        p = data.draw(st.integers(1, 12), label="p")
+        length = data.draw(st.sampled_from([2 * p + 1, 2 * p + 2, 2 * p + 9, 205, 230]), label="length")
+        (values,) = data.draw(ar_series(1, length))
+        window = data.draw(st.sampled_from([WINDOW_ALL, WINDOW_LAST_200]), label="window")
+        with np.errstate(all="ignore"):
+            assert outcome(fit_local_ar, values, p, window) == outcome(reference_fit_local_ar, values, p, window)
 
 
 class TestGlobalAr:
@@ -108,6 +250,17 @@ class TestGlobalAr:
         ds = dataset_from([np.arange(5.0)])
         with pytest.raises(FitError):
             fit_global_ar(ds, 5, LearnerSpec(family="global_ar", p=5))
+
+    @pytest.mark.parametrize("p", [200, 250])
+    def test_no_rows_in_a_scaled_window(self, p):
+        # the scaled last-200 window holds no target once p >= 200
+        ds = Dataset.from_series(
+            name="d", series=tuple(TimeSeries(id=sid, values=np.arange(300.0), train_len=300) for sid in ("a", "b"))
+        )
+        scheme = WeightingScheme(literal_value_scaling=True)
+        spec = LearnerSpec(family="global_ar", p=p, window="last_200", weighting=scheme)
+        with pytest.raises(FitError, match="^series 'a' contributes no rows$"):
+            fit_global_ar(ds, 300, spec)
 
     def test_matches_local_on_single_series(self):
         rng = np.random.default_rng(3)

@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftcast import evaluate
+from driftcast import evaluate, learners
 from driftcast.evaluate import EvalConfig, MethodSpec, prequential_run
+from driftcast.learners import WINDOW_ALL, WINDOW_LAST_200, LearnerSpec
+from driftcast.weighting import WeightingScheme, weight_schedule
 from test_evaluate import tiny_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -90,6 +92,27 @@ def test_dataset_series_views():
     for i, s in enumerate(ds.series):
         assert s.id == ds.ids[i]
         assert np.array_equal(s.values, ds.values[i])
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("window", [WINDOW_ALL, WINDOW_LAST_200])
+def test_pooled_fit_reads_one_weight_schedule(monkeypatch, window, literal):
+    # tracecli times weighting through ``learners.weight_schedule``; every
+    # series of a pooled fit shares its rows, so one schedule serves all
+    calls = []
+
+    def counted(scheme, series_length):
+        calls.append(series_length)
+        return weight_schedule(scheme, series_length)
+
+    monkeypatch.setattr(learners, "weight_schedule", counted)
+    scheme = WeightingScheme(method="exponential", literal_value_scaling=literal)
+    spec = LearnerSpec(family="global_ar", p=3, window=window, weighting=scheme)
+    ds = tiny_dataset(n_series=4, length=260)
+    learners.fit_global_ar(ds, 250, spec)
+    # the schedule weighs the scaled window (literal) or the rows
+    rows = {WINDOW_ALL: 250 if literal else 250 - 3, WINDOW_LAST_200: 200}[window]
+    assert calls == [rows]
 
 
 def test_engine_fits_through_module_attributes(monkeypatch):
