@@ -38,6 +38,7 @@ from driftcast.core import (
     ConfigError,
     Dataset,
     DriftcastError,
+    SeriesIndex,
     csv_field,
     csv_rows,
     format_floats,
@@ -330,13 +331,17 @@ def _load_or_simulate(sim: SimConfig, out_dir: Path) -> Dataset:
 
 @dataclass
 class KindResults:
-    dataset: Dataset
+    """One kind's scores. ``dataset`` is the kind's :class:`SeriesIndex`
+    (its ids, drifts and ``train_len``), not its values: the reports
+    read no value, and ``report`` builds it from the sidecar alone."""
+
+    dataset: SeriesIndex
     report: EvalReport
     test: TestResult | None
     stats_note: str | None
 
 
-def score_kind(dataset: Dataset, run: RunResult, alpha: float) -> KindResults:
+def score_kind(dataset: SeriesIndex, run: RunResult, alpha: float) -> KindResults:
     """Score one kind's run, then rank-test the methods that scored a
     series, over the series that all of them scored."""
     report = build_report(run)
@@ -371,13 +376,13 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
         dataset = _load_or_simulate(sim, out_dir)
         t_sim = time.perf_counter()
         run = prequential_run(dataset, cfg.eval_config, capture_weights=cfg.weight_traces)
-        results[kind] = score_kind(dataset, run, cfg.alpha)
+        results[kind] = score_kind(dataset.index, run, cfg.alpha)
         t_eval = time.perf_counter()
         written = [write_traces(out_dir / "traces" / f"{kind}.csv", run)]
         if cfg.weight_traces and run.weight_traces:
             written.extend(write_weight_traces(out_dir / "traces", kind, run))
         files.extend(_inventory(out_dir, written))
-        del run  # free this kind's forecasts before the next kind's evaluation
+        del run, dataset  # free this kind's values and forecasts before the next kind's
         t_traces = time.perf_counter()
         timings["datasets"] += t_sim - t0
         timings["evaluate"] += t_eval - t_sim
@@ -576,7 +581,7 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
     return written
 
 
-def _in_dataset_order(run: RunResult, dataset: Dataset, trace_path: Path) -> RunResult:
+def _in_dataset_order(run: RunResult, dataset: SeriesIndex, trace_path: Path) -> RunResult:
     """``run`` with its series in ``dataset``'s order, matched by id:
     the order ``cmd_run`` scored them in, and the one
     ``drift_sensitivity`` pairs with drift parameters. A trace file may
@@ -596,7 +601,9 @@ def _in_dataset_order(run: RunResult, dataset: Dataset, trace_path: Path) -> Run
 
 
 def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
-    """Re-render reports from stored traces and dataset sidecars."""
+    """Re-render reports from stored traces and dataset sidecars. Each
+    kind is scored from its trace and its sidecar's
+    :class:`SeriesIndex`; the dataset CSV is never opened."""
     traces_dir = out_dir / "traces"
     if not traces_dir.exists():
         raise ConfigError(f"no traces directory under {out_dir}")
@@ -605,8 +612,8 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
         trace_path = traces_dir / f"{kind}.csv"
         if not trace_path.exists():
             continue
-        dataset = load_dataset(dataset_paths(out_dir, kind)[0])
-        results[kind] = score_kind(dataset, _in_dataset_order(load_traces(trace_path), dataset, trace_path), cfg.alpha)
+        index = SeriesIndex.from_sidecar(read_sidecar(dataset_paths(out_dir, kind)[0]))
+        results[kind] = score_kind(index, _in_dataset_order(load_traces(trace_path), index, trace_path), cfg.alpha)
     if not results:
         raise ConfigError(f"no trace files found in {traces_dir}")
     return render_reports(cfg, out_dir, results)

@@ -140,13 +140,56 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
+class SeriesIndex:
+    """What a dataset says of its series besides their values, as its
+    sidecar holds it: series ``i`` is ``ids[i]`` with ``drifts[i]``, and
+    every series has ``series_length`` positions, the first
+    ``train_len`` of them for training.
+
+    Checked when built: ids unique and free of ``\\r``, ``train_len``
+    and every drift index in [1, series_length]. A :class:`Dataset`
+    runs the same checks through it, and both answer ``ids``,
+    ``drifts`` and ``train_len`` alike.
+    """
+
+    ids: tuple
+    series_length: int
+    train_len: int
+    drifts: tuple
+
+    def __post_init__(self) -> None:
+        ids, drifts = tuple(self.ids), tuple(self.drifts)
+        if len(set(ids)) != len(ids):
+            raise ConfigError("series ids must be unique")
+        # csv.writer leaves "\r" unquoted with "\n" line ends, and the
+        # file then splits the row: such an id could not be read back
+        for sid in ids:
+            if "\r" in sid:
+                raise ConfigError(f"series id {sid!r} holds a carriage return")
+        if not 1 <= self.train_len <= self.series_length:
+            raise ConfigError(f"train_len={self.train_len} outside [1, {self.series_length}]")
+        for drift in drifts:
+            drift.validate_indices(self.series_length)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "drifts", drifts)
+
+    @classmethod
+    def from_sidecar(cls, meta: dict) -> "SeriesIndex":
+        """The index of a sidecar that :func:`read_sidecar` returned."""
+        series = meta["series"]
+        drifts = [DriftMeta.from_dict(entry["drift"]) for entry in series]
+        return cls([entry["id"] for entry in series], meta["series_length"], meta["train_len"], drifts)
+
+
+@dataclass(frozen=True)
 class Dataset:
     """A homogeneous collection of series plus the config that built it.
 
     Series ``i`` is ``ids[i]``, row ``i`` of the read-only (n_series,
     length) float64 array ``values`` and ``drifts[i]``; all share
     ``train_len``. ``generator_config`` is a plain-dict snapshot of the
-    simulation config (or None for externally loaded data).
+    simulation config (or None for externally loaded data). ``index``
+    is all of it but the values, checked as a :class:`SeriesIndex`.
     """
 
     name: str
@@ -160,20 +203,10 @@ class Dataset:
         ids, values, drifts = tuple(self.ids), np.array(self.values, dtype=np.float64), tuple(self.drifts)
         if values.ndim != 2 or values.size == 0 or not len(ids) == len(values) == len(drifts):
             raise ConfigError("a dataset needs a non-empty (n_series, length) array, an id and a drift per row")
-        if len(set(ids)) != len(ids):
-            raise ConfigError("series ids must be unique")
-        # csv.writer leaves "\r" unquoted with "\n" line ends, and the
-        # file then splits the row: such an id could not be read back
-        for sid in ids:
-            if "\r" in sid:
-                raise ConfigError(f"series id {sid!r} holds a carriage return")
+        SeriesIndex(ids, values.shape[1], self.train_len, drifts)
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise ConfigError(f"series {ids[np.argmin(finite)]!r} contains non-finite values")
-        if not 1 <= self.train_len <= values.shape[1]:
-            raise ConfigError(f"train_len={self.train_len} outside [1, {values.shape[1]}]")
-        for drift in drifts:
-            drift.validate_indices(values.shape[1])
         values.setflags(write=False)
         for name, value in (("ids", ids), ("values", values), ("drifts", drifts)):
             object.__setattr__(self, name, value)
@@ -192,6 +225,11 @@ class Dataset:
     @property
     def series_length(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def index(self) -> SeriesIndex:
+        """Everything of this dataset but its values."""
+        return SeriesIndex(self.ids, self.series_length, self.train_len, self.drifts)
 
     @property
     def series(self) -> tuple:
@@ -340,8 +378,11 @@ def _holds(obj, *keys: str) -> bool:
 def read_sidecar(csv_path: str | Path) -> dict:
     """The sidecar of the dataset file ``csv_path``. One that is not
     JSON, or lacks a key of ``_SIDECAR_KEYS`` or a series' ``id``,
-    ``drift`` or drift ``kind``, raises ConfigError naming it."""
+    ``drift`` or drift ``kind``, raises ConfigError naming it, and so
+    does a missing sidecar."""
     meta_path = sidecar_path(csv_path)
+    if not meta_path.is_file():
+        raise ConfigError(f"sidecar {meta_path} is missing")
     with open(meta_path, encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
@@ -360,15 +401,16 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     """Inverse of :func:`save_dataset`; positions and values round-trip
     exactly. The CSV must hold, for every series of the sidecar and no
     other, the positions t = 1..series_length in order; the series may
-    come in any order, and interleave."""
+    come in any order, and interleave. The sidecar is checked as a
+    :class:`SeriesIndex` before the CSV is read."""
     csv_path = Path(csv_path)
     meta_path = sidecar_path(csv_path)
     if not csv_path.exists() or not meta_path.exists():
         raise ConfigError(f"dataset files missing: {csv_path} / {meta_path}")
     meta = read_sidecar(csv_path)
-    ids = [entry["id"] for entry in meta["series"]]
+    index = SeriesIndex.from_sidecar(meta)
+    ids, length = index.ids, index.series_length
     row_of = {sid: i for i, sid in enumerate(ids)}
-    length = meta["series_length"]
     values = np.empty((len(ids), length))
     filled = np.zeros(len(ids), dtype=int)  # values read so far, per series
     for chunk in read_csv(csv_path, DATASET_COLUMNS):
@@ -385,8 +427,7 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     short = np.flatnonzero(filled < length)
     if short.size:
         raise ConfigError(f"series {ids[short[0]]!r} holds {filled[short[0]]} of {length} positions in {csv_path}")
-    drifts = [DriftMeta.from_dict(entry["drift"]) for entry in meta["series"]]
-    return Dataset(meta["name"], ids, values, meta["train_len"], drifts, meta["generator_config"])
+    return Dataset(meta["name"], ids, values, index.train_len, index.drifts, meta["generator_config"])
 
 
 def spawned_seed(seed: int, stream: int) -> int:

@@ -48,7 +48,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from driftcast.combine import DEFAULT_PAIRINGS, NON_FINITE_RSS
-from driftcast.core import ConfigError, Dataset, FitError, csv_field, csv_rows, format_floats, key_runs, read_csv, write_csv
+from driftcast.core import (
+    ConfigError,
+    Dataset,
+    FitError,
+    SeriesIndex,
+    csv_field,
+    csv_rows,
+    format_floats,
+    key_runs,
+    read_csv,
+    write_csv,
+)
 from driftcast.learners import (
     DEFAULT_GLOBAL_LAGS,
     DEFAULT_RIDGE_LAMBDA,
@@ -596,7 +607,7 @@ def _per_series(report: EvalReport, metric: str) -> dict:
     raise ConfigError(f"metric must be 'rmse' or 'mae', got {metric!r}")
 
 
-def _drift_parameter(dataset: Dataset) -> tuple[str, np.ndarray]:
+def _drift_parameter(dataset: Dataset | SeriesIndex) -> tuple[str, np.ndarray]:
     kinds = {drift.kind for drift in dataset.drifts}
     if kinds == {"sudden"}:
         return "t_drift", np.array([drift.t_drift for drift in dataset.drifts], dtype=np.float64)
@@ -605,7 +616,9 @@ def _drift_parameter(dataset: Dataset) -> tuple[str, np.ndarray]:
     raise ConfigError(f"no drift parameter for drift kinds {sorted(kinds)}")
 
 
-def drift_sensitivity(dataset: Dataset, report: EvalReport, metric: str = "rmse", n_buckets: int = 10) -> SensitivityTable:
+def drift_sensitivity(
+    dataset: Dataset | SeriesIndex, report: EvalReport, metric: str = "rmse", n_buckets: int = 10
+) -> SensitivityTable:
     """Bucket series by drift point (sudden) or drift length
     (incremental) and average the chosen metric per bucket."""
     per_series = _per_series(report, metric)
@@ -631,7 +644,7 @@ def drift_sensitivity(dataset: Dataset, report: EvalReport, metric: str = "rmse"
     return SensitivityTable(edges=edges, counts=counts, means=means, methods=report.methods)
 
 
-def drift_region_split(dataset: Dataset, report: EvalReport, metric: str = "rmse") -> dict:
+def drift_region_split(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str = "rmse") -> dict:
     """Per-method mean metric for series whose sudden drift lands in
     the test region vs the first half of training, plus the excess."""
     per_series = _per_series(report, metric)

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from driftcast.cli import (
     preset_config,
     validate_config,
 )
-from driftcast.core import ConfigError
+from driftcast.core import ConfigError, SeriesIndex, load_dataset
 from driftcast.evaluate import prequential_run
 
 
@@ -332,6 +334,67 @@ class TestRunCommand:
         assert f"sidecar {meta}" in capsys.readouterr().err
         assert meta.read_bytes() == bad  # not simulated over
 
+    def test_missing_sidecar_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        meta = out / "datasets" / "gradual.meta.json"
+        meta.unlink()
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 1
+        assert f"sidecar {meta} is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta: meta["series"][1].update(id=meta["series"][0]["id"]), "series ids must be unique"),
+            (lambda meta: meta["series"][0].update(id="cr\rx"), "holds a carriage return"),
+            (lambda meta: meta.update(train_len=0), "train_len=0 outside [1, 120]"),
+            (lambda meta: meta.update(train_len=121), "train_len=121 outside [1, 120]"),
+            (lambda meta: meta["series"][2]["drift"].update(t_drift=0), "t_drift=0 outside [1, 120]"),
+            (lambda meta: meta["series"][2]["drift"].update(t_drift=121), "t_drift=121 outside [1, 120]"),
+        ],
+        ids=["duplicate-id", "carriage-return", "train_len-0", "train_len-past-end", "t_drift-0", "t_drift-past-end"],
+    )
+    def test_sidecar_checks_reject_a_bad_sidecar(self, tmp_path, capsys, command, edit, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        meta_path = out / "datasets" / "sudden.meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        bad = meta_path.read_bytes()
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert meta_path.read_bytes() == bad  # not simulated over
+
+    def test_report_loads_no_dataset(self, tmp_path, monkeypatch):
+        cfg = validate_config(tiny_document())
+        out = tmp_path / "run"
+        cmd_run(cfg, out)
+        loaded = []
+        real_load = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset", lambda path: loaded.append(Path(path).name) or real_load(path))
+        cmd_report(cfg, out)
+        assert loaded == []
+
+    def test_report_needs_no_dataset_csv(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+        for csv_path in (out / "datasets").glob("*.csv"):
+            csv_path.unlink()
+        for p in (out / "reports").iterdir():
+            p.unlink()
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
+
     def test_accuracy_report_layout(self, tmp_path):
         doc = tiny_document()
         doc["methods"] = [
@@ -375,6 +438,25 @@ class TestRunCommand:
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 4  # every series lands in exactly one bucket
 
+    def test_run_frees_each_dataset_before_the_reports(self, tmp_path, monkeypatch):
+        datasets = []
+        real_run, real_render = cli.prequential_run, cli.render_reports
+
+        def run(dataset, *args, **kwargs):
+            datasets.append(weakref.ref(dataset))
+            return real_run(dataset, *args, **kwargs)
+
+        def render(*args):
+            gc.collect()
+            assert [ref() for ref in datasets] == [None, None]
+            return real_render(*args)
+
+        monkeypatch.setattr(cli, "prequential_run", run)
+        monkeypatch.setattr(cli, "render_reports", render)
+        results = cmd_run(validate_config(tiny_document()), tmp_path / "run")
+        assert len(datasets) == 2
+        assert all(type(res.dataset) is SeriesIndex for res in results.values())
+
     def test_weight_traces_schema(self, tmp_path):
         doc = tiny_document(output={"weight_traces": True})
         cfg = validate_config(doc)
@@ -386,7 +468,7 @@ class TestRunCommand:
         assert header == "series_id,t,y,yhat_partial,yhat_all,w_p,w_a,yhat_combined"
         expected = {}
         for kind, res in results.items():
-            run = prequential_run(res.dataset, cfg.eval_config, capture_weights=True)
+            run = prequential_run(load_dataset(out / "datasets" / f"{kind}.csv"), cfg.eval_config, capture_weights=True)
             expected.update(reference_weight_traces(run, kind))
         assert {path.name: path.read_bytes() for path in (out / "traces").glob("weights_*")} == expected
 
