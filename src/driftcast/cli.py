@@ -581,25 +581,6 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
     return written
 
 
-def _in_dataset_order(run: RunResult, dataset: SeriesIndex, trace_path: Path) -> RunResult:
-    """``run`` with its series in ``dataset``'s order, matched by id:
-    the order ``cmd_run`` scored them in, and the one
-    ``drift_sensitivity`` pairs with drift parameters. A trace file may
-    hold its rows in any order."""
-    ids = dataset.ids
-    if ids == run.series_ids:
-        return run
-    if set(ids) != set(run.series_ids):
-        raise ConfigError(f"trace file {trace_path} does not hold the series of its dataset")
-    position = {sid: i for i, sid in enumerate(run.series_ids)}
-    order = [position[sid] for sid in ids]
-    run.series_ids = ids
-    run.actuals = run.actuals[order]
-    for name in run.methods:
-        run.predictions[name] = run.predictions[name][order]
-    return run
-
-
 def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Re-render reports from stored traces and dataset sidecars. Each
     kind is scored from its trace and its sidecar's
@@ -613,7 +594,7 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
         if not trace_path.exists():
             continue
         index = SeriesIndex.from_sidecar(read_sidecar(dataset_paths(out_dir, kind)[0]))
-        results[kind] = score_kind(index, _in_dataset_order(load_traces(trace_path), index, trace_path), cfg.alpha)
+        results[kind] = score_kind(index, load_traces(trace_path, index), cfg.alpha)
     if not results:
         raise ConfigError(f"no trace files found in {traces_dir}")
     return render_reports(cfg, out_dir, results)

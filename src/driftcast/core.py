@@ -377,9 +377,12 @@ def _holds(obj, *keys: str) -> bool:
 
 def read_sidecar(csv_path: str | Path) -> dict:
     """The sidecar of the dataset file ``csv_path``. One that is not
-    JSON, or lacks a key of ``_SIDECAR_KEYS`` or a series' ``id``,
-    ``drift`` or drift ``kind``, raises ConfigError naming it, and so
-    does a missing sidecar."""
+    JSON, lacks a key of ``_SIDECAR_KEYS`` or a series' ``id``,
+    ``drift`` or drift ``kind``, or holds an id that is not a string or
+    a ``series_length``, ``train_len``, drift index or drift ``seed``
+    that is not an integer raises ConfigError naming it, and so does a
+    missing sidecar. A drift index may be null, for DriftMeta to
+    check."""
     meta_path = sidecar_path(csv_path)
     if not meta_path.is_file():
         raise ConfigError(f"sidecar {meta_path} is missing")
@@ -394,6 +397,16 @@ def read_sidecar(csv_path: str | Path) -> dict:
         and all(_holds(entry, "id", "drift") and _holds(entry["drift"], "kind") for entry in meta["series"])
     ):
         raise ConfigError(f"sidecar {meta_path} lacks a key of {_SIDECAR_KEYS}, or a series' id, drift or drift kind")
+    numbers = [("series_length", meta["series_length"]), ("train_len", meta["train_len"])]
+    for entry in meta["series"]:
+        if not isinstance(entry["id"], str):
+            raise ConfigError(f"sidecar {meta_path} holds series id {entry['id']!r}, not a string")
+        drift = entry["drift"]
+        numbers += [(name, drift[name]) for name in ("t_drift", "t_start", "t_end") if drift.get(name) is not None]
+        numbers.append(("seed", drift.get("seed", 0)))
+    for name, value in numbers:
+        if type(value) is not int:  # a JSON integer; not a bool, a float, a string or null
+            raise ConfigError(f"sidecar {meta_path} holds {name}={value!r}, not an integer")
     return meta
 
 

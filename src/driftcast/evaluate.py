@@ -201,9 +201,11 @@ class RunResult:
     the first ``steps[i]`` rows of series ``i`` are recorded: a series
     stops at its combiner's failure.
 
-    A run loaded from a trace file (:func:`load_traces`) carries neither
-    fit counts nor failures: both dicts are empty, and a failed series
-    shows only as a non-finite forecast."""
+    A run loaded from a trace file (:func:`load_traces`) has its
+    sidecar's series, in the sidecar's order, and its ``train_len``; the
+    trace must hold the sidecar's test region. It carries neither fit
+    counts nor failures: both dicts are empty, and a failed series shows
+    only as a non-finite forecast."""
 
     series_ids: tuple
     methods: tuple
@@ -714,53 +716,48 @@ def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> lis
     return paths
 
 
-def _regrid(arr: np.ndarray, shape: tuple, shift: int, fill) -> np.ndarray:
-    """``arr`` in the corner of a new array of ``shape`` filled with
-    ``fill``, its last axis moved ``shift`` places on."""
-    out = np.full(shape, fill, dtype=arr.dtype)
-    out[tuple(map(slice, arr.shape[:-1])) + (slice(shift, shift + arr.shape[-1]),)] = arr
-    return out
-
-
-def load_traces(path: str | Path) -> RunResult:
-    """Rebuild a RunResult from a trace CSV, without fit counts or
-    failures. The rows may come in any order; series and methods keep
-    the order of their first row. The file's first (method, series)
-    fixes where the horizon starts: every (method, series) must hold the
-    same positions t once each, and every method a series' same actuals.
-    Each chunk is scattered into (method, series, t) arrays that grow as
-    new ids and positions turn up."""
+def load_traces(path: str | Path, index: SeriesIndex) -> RunResult:
+    """Rebuild the run of ``index``'s series from a trace CSV, without
+    fit counts or failures. The trace must hold the sidecar's test
+    region: a row for every series of ``index`` and for no other
+    series, each (method, series) the positions t = train_len + 1 ..
+    train_len + horizon once each, with one horizon for all, and every
+    method a series' same actuals. The rows may come in any order; the
+    series keep ``index``'s order and the methods that of their first
+    row. Each chunk is scattered into (method, series, t) arrays whose
+    series and position axes ``index`` fixes; only the method axis
+    grows."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"trace file missing: {path}")
-    series: dict[str, int] = {}  # id -> row, in order of first appearance
+    row_of = {sid: i for i, sid in enumerate(index.ids)}
     methods: dict[str, int] = {}
-    lo = 0  # the position t of the arrays' first column
-    counts = np.zeros((0, 0, 0), dtype=np.uint8)  # rows read per (method, series, t), up to 2
-    predictions = np.zeros((0, 0, 0))
-    actuals = np.zeros((0, 0))  # per (series, t), from the first row that holds it
+    lo, hi = index.train_len + 1, index.series_length  # the test region's positions t
+    # each position needs a row, of more than a byte, so no trace holds more positions than bytes
+    width = min(hi - lo + 1, path.stat().st_size)
+    counts = np.zeros((0, len(row_of), width), dtype=np.uint8)  # rows read per (method, series, t), up to 2
+    predictions = np.zeros(counts.shape)
+    actuals = np.full(counts.shape[1:], np.nan)  # per (series, t), from the first row that holds it
     differ = None  # a series whose actuals differ between rows
     for chunk in read_csv(path, TRACE_COLUMNS):
         sid, name, t, actual = chunk["series_id"], chunk["method"], chunk["t"], chunk["actual"]
         starts, stops = key_runs(sid, name)
-        s = np.repeat([series.setdefault(sid[k], len(series)) for k in starts], stops - starts)
+        for k in starts:
+            if sid[k] not in row_of:
+                raise ConfigError(f"trace file {path} holds series {sid[k]!r} absent from its sidecar")
+        s = np.repeat([row_of[sid[k]] for k in starts], stops - starts)
         m = np.repeat([methods.setdefault(name[k], len(methods)) for k in starts], stops - starts)
-        first, last = int(t.min()), int(t.max())
-        if counts.size:
-            first, last = min(first, lo), max(last, lo + counts.shape[2] - 1)
-        if last - first >= path.stat().st_size:  # each position needs a row, of more than a byte
-            raise ConfigError(f"positions t={first}..{last} span more rows than {path} holds")
-        # as many ids as seen, rounded up to a power of two so that the arrays grow rarely
-        shape = (1 << (len(methods) - 1).bit_length(), 1 << (len(series) - 1).bit_length(), last - first + 1)
-        if shape[1:] != counts.shape[1:]:
-            counts, predictions = _regrid(counts, shape, lo - first, 0), _regrid(predictions, shape, lo - first, np.nan)
-            actuals, lo = _regrid(actuals, shape[1:], lo - first, np.nan), first
-        elif shape[0] != len(counts):  # a new method: extend in place rather than beside a copy
-            grown = len(counts)
+        outside = (t < lo) | (t > hi)
+        if outside.any():
+            raise ConfigError(f"trace file {path} holds t={t[np.argmax(outside)]} outside the test region t={lo}..{hi}")
+        col = t - lo
+        if col.max() >= width:
+            raise ConfigError(f"positions t={lo}..{t.max()} span more rows than {path} holds")
+        if len(methods) > len(counts):  # a new method: grow in place, to a power of two so that it grows rarely
+            grown, shape = len(counts), (1 << (len(methods) - 1).bit_length(),) + counts.shape[1:]
             counts.resize(shape, refcheck=False)
             predictions.resize(shape, refcheck=False)
             predictions[grown:] = np.nan
-        col = t - lo
         new = ~counts[:, s, col].any(axis=0)
         actuals[s[new], col[new]] = actual[new]
         kept = actuals[s, col]
@@ -770,30 +767,30 @@ def load_traces(path: str | Path) -> RunResult:
         cells, times = np.unique(np.ravel_multi_index((m, s, col), counts.shape), return_counts=True)
         counts.flat[cells] = np.minimum(counts.flat[cells] + times, 2)
         predictions[m, s, col] = chunk["prediction"]
-    if not series:
+    if not methods:
         raise ConfigError(f"trace file {path} holds no rows")
-    counts = counts[: len(methods), : len(series)]
+    counts = counts[: len(methods)]
     rows = counts.sum(axis=2)
-    horizon = int(rows[0, 0])  # of the file's first (method, series)
+    missing = np.flatnonzero(~rows.any(axis=0))
+    if missing.size:
+        raise ConfigError(f"trace file {path} lacks series {index.ids[missing[0]]!r} of its sidecar")
+    horizon = int(rows.max())
     if np.any(rows[rows > 0] != horizon):
         raise ConfigError("inconsistent horizon lengths across traces")
-    start = int(np.argmax(counts[0, 0] > 0))
-    train_len, once = lo + start - 1, np.zeros(counts.shape[2], dtype=np.uint8)
-    once[start : start + horizon] = 1
-    wrong = np.argwhere((rows > 0) & np.any(counts != once, axis=2))
+    # a horizon wider than the arrays leaves a position read twice, which this rejects too
+    wrong = np.argwhere((rows > 0) & np.any(counts != (np.arange(width) < horizon), axis=2))
     if wrong.size:
-        name, sid = list(methods)[wrong[0, 0]], list(series)[wrong[0, 1]]
-        positions = f"t={train_len + 1}..{train_len + horizon}"
-        raise ConfigError(f"trace of ({name!r}, {sid!r}) does not hold {positions} once each in {path}")
+        name, sid = list(methods)[wrong[0, 0]], index.ids[wrong[0, 1]]
+        raise ConfigError(f"trace of ({name!r}, {sid!r}) does not hold t={lo}..{lo + horizon - 1} once each in {path}")
     if differ is not None:
         raise ConfigError(f"actuals of series {differ!r} differ between methods in {path}")
     return RunResult(
-        series_ids=tuple(series),
+        series_ids=index.ids,
         methods=tuple(methods),
-        train_len=train_len,
+        train_len=index.train_len,
         horizon=horizon,
-        actuals=actuals[: len(series), start : start + horizon],
-        predictions={name: predictions[j, : len(series), start : start + horizon] for name, j in methods.items()},
+        actuals=actuals[:, :horizon],
+        predictions={name: predictions[j, :, :horizon] for name, j in methods.items()},
         fit_counts={},
         failures={},
     )

@@ -1,5 +1,7 @@
+import csv
 import gc
 import hashlib
+import io
 import json
 import weakref
 
@@ -280,6 +282,23 @@ class TestRunCommand:
         assert main(["report", "--config", str(path), "--out", str(out)]) == 1
         assert str(trace) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", [20, 30])
+    @pytest.mark.parametrize("shift", [-1, 1, 7])
+    def test_report_rejects_trace_of_other_positions(self, tmp_path, capsys, horizon, shift):
+        # series of 120 points, 90 for training: the test region is t = 91..120
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document(evaluate={"horizon": horizon})))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        trace = out / "traces" / "sudden.csv"
+        header, *rows = list(csv.reader(io.StringIO(trace.read_text(), newline="")))
+        with open(trace, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerows([header] + [[sid, name, int(t) + shift, *values] for sid, name, t, *values in rows])
+        capsys.readouterr()
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 1
+        assert str(trace) in capsys.readouterr().err
+
     def test_rerun_resimulates_only_changed_kinds(self, tmp_path, monkeypatch):
         doc = tiny_document()
         out = tmp_path / "run"
@@ -354,8 +373,32 @@ class TestRunCommand:
             (lambda meta: meta.update(train_len=121), "train_len=121 outside [1, 120]"),
             (lambda meta: meta["series"][2]["drift"].update(t_drift=0), "t_drift=0 outside [1, 120]"),
             (lambda meta: meta["series"][2]["drift"].update(t_drift=121), "t_drift=121 outside [1, 120]"),
+            (lambda meta: meta.update(series_length="120"), "series_length='120', not an integer"),
+            (lambda meta: meta.update(series_length=None), "series_length=None, not an integer"),
+            (lambda meta: meta.update(series_length=True), "series_length=True, not an integer"),
+            (lambda meta: meta.update(series_length=120.0), "series_length=120.0, not an integer"),
+            (lambda meta: meta.update(train_len="90"), "train_len='90', not an integer"),
+            (lambda meta: meta.update(train_len=None), "train_len=None, not an integer"),
+            (lambda meta: meta.update(train_len=True), "train_len=True, not an integer"),
+            (lambda meta: meta.update(train_len=90.0), "train_len=90.0, not an integer"),
+            (lambda meta: meta["series"][2]["drift"].update(t_drift="100"), "t_drift='100', not an integer"),
+            (lambda meta: meta["series"][2]["drift"].update(t_drift=None), "sudden drift needs t_drift only"),
+            (lambda meta: meta["series"][2]["drift"].update(t_drift=True), "t_drift=True, not an integer"),
+            (lambda meta: meta["series"][2]["drift"].update(t_drift=100.0), "t_drift=100.0, not an integer"),
+            (lambda meta: meta["series"][1]["drift"].update(seed="7"), "seed='7', not an integer"),
+            (lambda meta: meta["series"][1]["drift"].update(seed=None), "seed=None, not an integer"),
+            (lambda meta: meta["series"][1]["drift"].update(seed=False), "seed=False, not an integer"),
+            (lambda meta: meta["series"][1]["drift"].update(seed=7.0), "seed=7.0, not an integer"),
+            (lambda meta: meta["series"][3].update(id=7), "series id 7, not a string"),
+            (lambda meta: meta["series"][3].update(id=None), "series id None, not a string"),
         ],
-        ids=["duplicate-id", "carriage-return", "train_len-0", "train_len-past-end", "t_drift-0", "t_drift-past-end"],
+        ids=[
+            "duplicate-id", "carriage-return", "train_len-0", "train_len-past-end", "t_drift-0", "t_drift-past-end",
+            "series_length-string", "series_length-null", "series_length-bool", "series_length-float",
+            "train_len-string", "train_len-null", "train_len-bool", "train_len-float",
+            "t_drift-string", "t_drift-null", "t_drift-bool", "t_drift-float",
+            "seed-string", "seed-null", "seed-bool", "seed-float", "id-number", "id-null",
+        ],
     )
     def test_sidecar_checks_reject_a_bad_sidecar(self, tmp_path, capsys, command, edit, message):
         path = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from driftcast import core, evaluate
 from driftcast.combine import DEFAULT_PAIRINGS, PairingEnsemble
-from driftcast.core import ConfigError, Dataset, DriftcastError, DriftMeta, FitError, TimeSeries
+from driftcast.core import ConfigError, Dataset, DriftcastError, DriftMeta, FitError, SeriesIndex, TimeSeries
 from driftcast.evaluate import (
     METHODS,
     PAIRING_SUBMODELS,
@@ -677,6 +677,17 @@ def write_trace_text(path, rows):
     return path
 
 
+def index_of(ids, train_len, series_length):
+    """The index of a sidecar of series ``ids``, none of which drifts."""
+    return SeriesIndex(ids, series_length, train_len, [DriftMeta(kind="none")] * len(ids))
+
+
+def run_index(run):
+    """The index of the sidecar of the dataset ``run`` evaluated, whose
+    series end with the horizon."""
+    return index_of(run.series_ids, run.train_len, run.train_len + run.horizon)
+
+
 def reference_load_traces(path):
     """The row-by-row loader that the columnar ``load_traces`` replaced
     (csv.reader, ``float()``, one tuple per row): the oracle for what it
@@ -733,13 +744,26 @@ def trace_rows(run):
     ]
 
 
-def load_both(path):
-    """``load_traces`` and the oracle on one file: each result, or the
-    ConfigError it raised."""
+def reference_in_index(run, index):
+    """The oracle's run as ``load_traces`` reads it against the sidecar's
+    ``index``: its series in the index's order. A trace of other series,
+    of another ``train_len`` or past the series' end is rejected."""
+    if set(run.series_ids) != set(index.ids) or run.train_len != index.train_len:
+        raise ConfigError("the trace holds other series or another train_len than its sidecar")
+    if run.train_len + run.horizon > index.series_length:
+        raise ConfigError("the trace holds positions past the end of its sidecar's series")
+    order = [run.series_ids.index(sid) for sid in index.ids]
+    predictions = {name: forecasts[order] for name, forecasts in run.predictions.items()}
+    return dataclasses.replace(run, series_ids=index.ids, actuals=run.actuals[order], predictions=predictions)
+
+
+def load_both(path, index):
+    """``load_traces`` and the oracle composed with ``index`` on one
+    file: each result, or the ConfigError it raised."""
     outcomes = []
-    for load in (load_traces, reference_load_traces):
+    for load in (load_traces, lambda path, index: reference_in_index(reference_load_traces(path), index)):
         try:
-            outcomes.append(load(path))
+            outcomes.append(load(path, index))
         except ConfigError as exc:
             outcomes.append(exc)
     return outcomes
@@ -771,7 +795,7 @@ class TestTraceIO:
             write_traces(path, run)
             reference_trace_csv(run, tmp_path / "reference.csv")
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-            loaded = load_traces(path)
+            loaded = load_traces(path, run_index(run))
             assert loaded.methods == run.methods
             assert loaded.series_ids == run.series_ids
             assert loaded.train_len == run.train_len
@@ -799,9 +823,9 @@ class TestTraceIO:
         shape = (len(series_ids), data.draw(st.integers(1, 4)))
         actuals = data.draw(arrays(np.float64, shape, elements=FLOATS))
         predictions = {name: data.draw(arrays(np.float64, shape, elements=FLOATS)) for name in methods}
-        run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, predictions)
+        run = hand_made_run(series_ids, data.draw(st.integers(1, 10**6)), actuals, predictions)
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = load_traces(write_traces(f"{tmp}/traces.csv", run))
+            loaded = load_traces(write_traces(f"{tmp}/traces.csv", run), run_index(run))
         assert (loaded.series_ids, loaded.methods) == (run.series_ids, run.methods)
         assert (loaded.train_len, loaded.horizon) == (run.train_len, run.horizon)
         for got, expected in [(loaded.actuals, actuals)] + [(loaded.predictions[m], predictions[m]) for m in methods]:
@@ -816,14 +840,18 @@ class TestTraceIO:
     def test_malformed_row_rejected(self, tmp_path, row):
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", row])
         with pytest.raises(ConfigError, match=re.escape(f"line 3 of {path}")):
-            load_traces(path)
+            load_traces(path, index_of(["a"], 10, 12))
 
-    def test_train_len_from_earliest_position(self, tmp_path):
+    def test_train_len_is_the_sidecars(self, tmp_path):
         path = write_trace_text(tmp_path / "t.csv", ["a,M,12,2.0,2.5", "a,M,11,1.0,1.5", "b,M,11,3.0,3.5", "b,M,12,4.0,4.5"])
-        run = load_traces(path)
+        run = load_traces(path, index_of(["a", "b"], 10, 12))
         assert run.train_len == 10
         assert np.array_equal(run.actuals, [[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(run.predictions["M"], [[1.5, 2.5], [3.5, 4.5]])
+        # t = 11, 12 start no other sidecar's test region
+        for train_len in (9, 11):
+            with pytest.raises(ConfigError, match=re.escape(str(path))):
+                load_traces(path, index_of(["a", "b"], train_len, 12))
 
     @pytest.mark.parametrize(
         "rows",
@@ -835,8 +863,16 @@ class TestTraceIO:
         ],
     )
     def test_inconsistent_rows_rejected(self, tmp_path, rows):
+        index = index_of(sorted({row.split(",")[0] for row in rows}), 10, 50)
         with pytest.raises(ConfigError):
-            load_traces(write_trace_text(tmp_path / "t.csv", rows))
+            load_traces(write_trace_text(tmp_path / "t.csv", rows), index)
+
+    @pytest.mark.parametrize("t", [9, 10, 14, 10**15])
+    def test_position_outside_the_test_region_rejected(self, tmp_path, t):
+        # train_len 10 of 13 positions: the test region is t = 11..13
+        path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "a,M,12,2.0,2.5", f"a,M,{t},3.0,3.5"])
+        with pytest.raises(ConfigError, match=re.escape(f"{path} holds t={t} outside the test region t=11..13")):
+            load_traces(path, index_of(["a"], 10, 13))
 
     def test_reports_recomputable_from_traces(self, tmp_path):
         ds = tiny_dataset()
@@ -845,13 +881,13 @@ class TestTraceIO:
         path = tmp_path / "traces.csv"
         write_traces(path, run)
         direct = build_report(run)
-        replayed = build_report(load_traces(path))
+        replayed = build_report(load_traces(path, ds.index))
         for name in direct.methods:
             assert direct.summary[name] == replayed.summary[name]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_traces(tmp_path / "nope.csv")
+            load_traces(tmp_path / "nope.csv", index_of(["a"], 10, 12))
 
 
 class TestWeightTraces:
@@ -967,7 +1003,8 @@ class TestBuildReport:
 
 
 class TestTraceReader:
-    """The columnar ``load_traces`` against the row-by-row oracle."""
+    """The columnar ``load_traces`` against the row-by-row oracle,
+    composed with the sidecar's index."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -977,12 +1014,12 @@ class TestTraceReader:
         shape = (len(series_ids), data.draw(st.integers(1, 4)))
         actuals = data.draw(arrays(np.float64, shape, elements=FLOATS))
         predictions = {name: data.draw(arrays(np.float64, shape, elements=FLOATS)) for name in methods}
-        run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, predictions)
+        run = hand_made_run(series_ids, data.draw(st.integers(1, 10**6)), actuals, predictions)
         shuffled = data.draw(st.booleans())
         rows = data.draw(st.permutations(trace_rows(run))) if shuffled else trace_rows(run)
         # and now and then a fault: a row dropped, repeated, moved in t,
-        # or holding another actual
-        fault = data.draw(st.sampled_from([None, "drop", "repeat", "shift", "actual"]))
+        # or holding another actual, or a whole series dropped
+        fault = data.draw(st.sampled_from([None, "drop", "repeat", "shift", "actual", "series"]))
         k = data.draw(st.integers(0, len(rows) - 1))
         sid, name, t, actual, prediction = rows[k]
         if fault == "drop":
@@ -993,17 +1030,26 @@ class TestTraceReader:
             rows[k] = (sid, name, t + data.draw(st.sampled_from([-2, -1, 1, 2, 10**7])), actual, prediction)
         elif fault == "actual":
             rows[k] = (sid, name, t, "1.5" if actual == "nan" else "nan", prediction)
+        elif fault == "series":
+            rows = [row for row in rows if row[0] != sid]
+        # the sidecar: the series in any order, now and then another
+        # train_len, and series that run on past the horizon
+        order = data.draw(st.permutations(series_ids))
+        train_len = max(1, run.train_len + data.draw(st.sampled_from([0, 0, 0, -1, 1])))
+        index = index_of(order, train_len, run.train_len + shape[1] + data.draw(st.integers(0, 3)))
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "CSV_CHUNK_ROWS", data.draw(st.integers(1, 7)))
-            got, expected = load_both(write_rows(Path(tmp) / "traces.csv", list(evaluate.TRACE_COLUMNS), rows))
+            got, expected = load_both(write_rows(Path(tmp) / "traces.csv", list(evaluate.TRACE_COLUMNS), rows), index)
         if isinstance(expected, ConfigError):
             assert isinstance(got, ConfigError)
         else:
             assert not isinstance(got, ConfigError), got
             assert_same_run(got, expected)
             if fault is None and not shuffled:  # the run written, but for NaN payloads: repr writes "nan"
-                assert (got.series_ids, got.methods, got.train_len) == (run.series_ids, run.methods, run.train_len)
+                assert (got.series_ids, got.methods, got.train_len) == (tuple(order), run.methods, run.train_len)
+                rows_of = [series_ids.index(sid) for sid in order]
                 for value, written in [(got.actuals, actuals)] + [(got.predictions[m], predictions[m]) for m in methods]:
+                    written = written[rows_of]
                     assert np.array_equal(value, written, equal_nan=True)
                     signed = ~np.isnan(written)
                     assert np.array_equal(np.signbit(value[signed]), np.signbit(written[signed]))
@@ -1018,19 +1064,19 @@ class TestTraceReader:
         path.write_text("series_id,method,t,actual,prediction\n" + "".join(rows), encoding="utf-8", newline="")
         monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
         with pytest.raises(ConfigError, match=re.escape(f"malformed row at line {at + 2} of {path}")):
-            load_traces(path)
+            load_traces(path, index_of(["x\ny", "a"], 10, 13))
 
     def test_blank_line_is_skipped(self, tmp_path):
         # the row-by-row loader rejected a blank line (exit 1); loadtxt skips it
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "", "a,M,12,2.0,2.5"])
-        got, expected = load_both(path)
+        got, expected = load_both(path, index_of(["a"], 10, 12))
         assert isinstance(expected, ConfigError) and "line 3" in str(expected)
         assert np.array_equal(got.predictions["M"], [[1.5, 2.5]])
 
     def test_underscore_in_a_number_is_malformed(self, tmp_path):
         # float() reads "1_0" as 10.0; loadtxt rejects it
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "a,M,12,2.0,1_0"])
-        got, expected = load_both(path)
+        got, expected = load_both(path, index_of(["a"], 10, 12))
         assert expected.predictions["M"][0, 1] == 10.0
         assert isinstance(got, ConfigError) and f"malformed row at line 3 of {path}" in str(got)
 
@@ -1038,21 +1084,39 @@ class TestTraceReader:
     def test_pair_absent_from_the_file_reads_nan(self, tmp_path, monkeypatch, chunk):
         # method N turns up after every series, and never for series b
         monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
-        got, expected = load_both(write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "b,M,11,2.0,2.5", "a,N,11,1.0,1.0"]))
+        rows = ["a,M,11,1.0,1.5", "b,M,11,2.0,2.5", "a,N,11,1.0,1.0"]
+        got, expected = load_both(write_trace_text(tmp_path / "t.csv", rows), index_of(["a", "b"], 10, 11))
         assert_same_run(got, expected)
         assert np.array_equal(got.predictions["N"], [[1.0], [np.nan]], equal_nan=True)
 
     def test_far_positions_rejected_before_any_array_is_sized(self, tmp_path):
+        # a sidecar series_length of 10**15 sizes no array: the position
+        # axis stops at the trace file's byte count
+        index = index_of(["a"], 10, 10**15)
+        path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "a,M,12,2.0,2.5"])
+        run = load_traces(path, index)
+        assert (run.train_len, run.horizon) == (10, 2)
+        assert np.array_equal(run.predictions["M"], [[1.5, 2.5]])
+        assert run.actuals.base.shape[-1] <= path.stat().st_size
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", f"a,M,{10**15},2.0,2.5"])
         with pytest.raises(ConfigError, match="span more rows than"):
-            load_traces(path)
+            load_traces(path, index)
 
     def test_positions_may_come_before_the_first(self, tmp_path, monkeypatch):
-        # a later chunk widens the arrays towards smaller t
+        # a later chunk holds smaller t, and the sidecar's order is not the file's
         monkeypatch.setattr(core, "CSV_CHUNK_ROWS", 2)
         rows = ["b,N,13,3.0,3.5", "b,N,14,4.0,4.5", "a,M,13,3.0,3.0", "a,M,14,4.0,4.0", "a,M,12,2.0,2.0", "a,M,11,1.0,1.0"]
         rows += ["b,N,12,2.0,2.5", "b,N,11,1.0,1.5"]
-        run = load_traces(write_trace_text(tmp_path / "t.csv", rows))
-        assert (run.series_ids, run.methods, run.train_len, run.horizon) == (("b", "a"), ("N", "M"), 10, 4)
-        assert np.array_equal(run.predictions["M"], [[np.nan] * 4, [1.0, 2.0, 3.0, 4.0]], equal_nan=True)
+        run = load_traces(write_trace_text(tmp_path / "t.csv", rows), index_of(["a", "b"], 10, 14))
+        assert (run.series_ids, run.methods, run.train_len, run.horizon) == (("a", "b"), ("N", "M"), 10, 4)
+        assert np.array_equal(run.predictions["M"], [[1.0, 2.0, 3.0, 4.0], [np.nan] * 4], equal_nan=True)
         assert np.array_equal(run.actuals, [[1.0, 2.0, 3.0, 4.0]] * 2)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [(["a"], "holds series 'b' absent from its sidecar"), (["a", "b", "c"], "lacks series 'c' of its sidecar")],
+    )
+    def test_series_other_than_the_sidecars_rejected(self, tmp_path, ids, message):
+        path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "b,M,11,2.0,2.5"])
+        with pytest.raises(ConfigError, match=re.escape(f"trace file {path} {message}")):
+            load_traces(path, index_of(ids, 10, 11))

@@ -12,6 +12,10 @@ one uses.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +25,11 @@ from driftcast import evaluate, learners
 from driftcast.evaluate import EvalConfig, MethodSpec, prequential_run
 from driftcast.learners import WINDOW_ALL, WINDOW_LAST_200, LearnerSpec
 from driftcast.weighting import WeightingScheme, weight_schedule
+from test_cli import tiny_document
 from test_evaluate import tiny_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 # patched by tracecli but gone since the engine was batched; the
 # benchmark's own mending of these layers is a separate change
@@ -130,3 +136,23 @@ def test_engine_fits_through_module_attributes(monkeypatch):
     prequential_run(ds, cfg)
     # per block: Plain_All and the four combiner sub-models, and one local fit per series
     assert calls == {"fit_global_ar": 3 * 5, "fit_local_ar": 3 * 4}
+
+
+def test_traced_report_reads_each_trace_once(tmp_path):
+    # the benchmark's per-layer metrics of ``report`` come from
+    # tracecli's wrapper of ``cli.load_traces``, which counts the rows of
+    # the run each call returns
+    doc = tiny_document()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for command in ("run", "report"):
+        spans = tmp_path / f"{command}.json"
+        args = [sys.executable, str(PERFBENCH / "tracecli.py"), str(spans), command, "--config", str(config), "--out", str(tmp_path / "out")]
+        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    traced = json.loads(spans.read_text())
+    kinds, sim = doc["simulate"], doc["simulate"]["sudden"]
+    assert traced["stats"]["evaluate.load_traces"]["calls"] == len(kinds)
+    rows = len(kinds) * len(doc["methods"]) * sim["n_series"] * doc["evaluate"]["horizon"]
+    assert traced["counts"]["evaluate.load_traces.rows"] == rows
