@@ -1,9 +1,12 @@
 """Golden output digests: every file a campaign writes, pinned by sha256.
 
-Two campaigns are pinned in ``golden/outputs.json``: the desk preset at
-``DRIFTCAST_SEED=7`` with weight traces on, and a small config that
+Three campaigns are pinned in ``golden/outputs.json``: the desk preset
+at ``DRIFTCAST_SEED=7`` with weight traces on; a small config that
 takes the failure paths (a GDW at eta 0.5 that diverges, ECW, Oracle
-and AR3_All). Each test reruns its campaign and compares the
+and AR3_All); and the paper preset cut to 8 series of the sudden and
+incremental kinds, whose paper-length series (2000 points, horizon 350
+in 7 blocks) carry the ETS grid across blocks and fit the pooled
+models on windows of 1,640 rows and more. Each test reruns its campaign and compares the
 manifest's ``files`` list (path, sha256, bytes, in order), the exit
 code and stdout with the recorded ones, then checks that ``driftcast
 report`` re-renders the same report bytes from the stored traces.
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftcast.cli import SEED_ENV_VAR, main
+from driftcast.cli import SEED_ENV_VAR, main, preset_config
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
 
@@ -41,6 +44,14 @@ CAMPAIGNS = {
             "methods": [{"name": "GDW", "eta": 0.5}, {"name": "ECW"}, {"name": "Oracle"}, {"name": "AR3_All"}],
             "evaluate": {"horizon": 60, "block_size": 20},
             "output": {"weight_traces": True},
+        },
+        None,
+    ),
+    "paper_length": (
+        None,
+        {
+            **preset_config("paper"),
+            "simulate": {kind: dict(preset_config("paper")["simulate"][kind], n_series=8) for kind in ("sudden", "incremental")},
         },
         None,
     ),
