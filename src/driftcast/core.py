@@ -19,7 +19,7 @@ import io
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -94,23 +94,14 @@ class DriftMeta:
                 raise ConfigError(f"{name}={t} outside [1, {length}]")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "t_drift": self.t_drift,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "seed": self.seed,
-        }
+        """Every field by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DriftMeta":
-        return cls(
-            kind=d["kind"],
-            t_drift=d.get("t_drift"),
-            t_start=d.get("t_start"),
-            t_end=d.get("t_end"),
-            seed=d.get("seed", 0),
-        )
+        """The inverse of :meth:`to_dict`: keys that name no field are
+        ignored, and a field without a key takes its default."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,7 @@ class SeriesIndex:
 
     Checked when built: ids unique and free of ``\\r``, ``train_len``
     and every drift index in [1, series_length]. A :class:`Dataset`
-    runs the same checks through it, and both answer ``ids``,
+    keeps the index that checked it, and both answer ``ids``,
     ``drifts`` and ``train_len`` alike.
     """
 
@@ -189,7 +180,8 @@ class Dataset:
     length) float64 array ``values`` and ``drifts[i]``; all share
     ``train_len``. ``generator_config`` is a plain-dict snapshot of the
     simulation config (or None for externally loaded data). ``index``
-    is all of it but the values, checked as a :class:`SeriesIndex`.
+    is all of it but the values: the :class:`SeriesIndex` that checked
+    it when the dataset was built.
     """
 
     name: str
@@ -198,17 +190,18 @@ class Dataset:
     train_len: int
     drifts: tuple
     generator_config: Optional[dict] = None
+    index: SeriesIndex = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ids, values, drifts = tuple(self.ids), np.array(self.values, dtype=np.float64), tuple(self.drifts)
         if values.ndim != 2 or values.size == 0 or not len(ids) == len(values) == len(drifts):
             raise ConfigError("a dataset needs a non-empty (n_series, length) array, an id and a drift per row")
-        SeriesIndex(ids, values.shape[1], self.train_len, drifts)
+        index = SeriesIndex(ids, values.shape[1], self.train_len, drifts)
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise ConfigError(f"series {ids[np.argmin(finite)]!r} contains non-finite values")
         values.setflags(write=False)
-        for name, value in (("ids", ids), ("values", values), ("drifts", drifts)):
+        for name, value in (("ids", index.ids), ("values", values), ("drifts", index.drifts), ("index", index)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -225,11 +218,6 @@ class Dataset:
     @property
     def series_length(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def index(self) -> SeriesIndex:
-        """Everything of this dataset but its values."""
-        return SeriesIndex(self.ids, self.series_length, self.train_len, self.drifts)
 
     @property
     def series(self) -> tuple:
@@ -415,7 +403,9 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     exactly. The CSV must hold, for every series of the sidecar and no
     other, the positions t = 1..series_length in order; the series may
     come in any order, and interleave. The sidecar is checked as a
-    :class:`SeriesIndex` before the CSV is read."""
+    :class:`SeriesIndex` before the CSV is read, and so is its size: a
+    sidecar that gives more values than the CSV holds bytes raises
+    ConfigError naming it."""
     csv_path = Path(csv_path)
     meta_path = sidecar_path(csv_path)
     if not csv_path.exists() or not meta_path.exists():
@@ -423,6 +413,10 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     meta = read_sidecar(csv_path)
     index = SeriesIndex.from_sidecar(meta)
     ids, length = index.ids, index.series_length
+    # each value needs a row of its own, of more than a byte: the sidecar
+    # sizes the value array, which must not outgrow the file that fills it
+    if len(ids) * length > csv_path.stat().st_size:
+        raise ConfigError(f"sidecar {meta_path} gives {len(ids)} series of {length} positions, more than {csv_path} holds")
     row_of = {sid: i for i, sid in enumerate(ids)}
     values = np.empty((len(ids), length))
     filled = np.zeros(len(ids), dtype=int)  # values read so far, per series

@@ -157,7 +157,9 @@ def default_method_specs() -> tuple:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Harness parameters plus shared learner hyperparameters."""
+    """Harness parameters plus shared learner hyperparameters. Every
+    value is checked when the config is built: the global models' values
+    by building a global-learner spec."""
 
     horizon: int = 350
     block_size: int = 50
@@ -178,14 +180,19 @@ class EvalConfig:
         if not names or len(set(names)) != len(names):
             raise ConfigError("methods must be non-empty and unique")
         object.__setattr__(self, "methods", methods)
-        if self.global_lags < 1:
-            raise ConfigError("global_lags must be >= 1")
-        if self.ridge_lambda < 0:
-            raise ConfigError("ridge_lambda must be nonnegative")
+        self.global_spec(_global_model("none", WINDOW_ALL))
 
     @property
     def n_blocks(self) -> int:
         return self.horizon // self.block_size
+
+    def global_spec(self, name: str) -> LearnerSpec:
+        """The learner spec of global model ``name``: its window and
+        weighting method, with this config's lags, ridge and weighting
+        values."""
+        record = METHODS[name]
+        weighting = WeightingScheme(record.weighting, self.alpha0, self.beta, self.literal_value_scaling)
+        return LearnerSpec("global_ar", self.global_lags, record.window, weighting, self.ridge_lambda)
 
 
 @dataclass
@@ -232,22 +239,6 @@ def _submodels(name: str) -> tuple:
 def needed_global_models(methods: Sequence[MethodSpec]) -> tuple:
     """Global fits required by the configured methods, sorted."""
     return tuple(sorted({g for m in methods for g in _submodels(m.name)}))
-
-
-def _global_learner_spec(name: str, cfg: EvalConfig) -> LearnerSpec:
-    record = METHODS[name]
-    return LearnerSpec(
-        family="global_ar",
-        p=cfg.global_lags,
-        window=record.window,
-        weighting=WeightingScheme(
-            method=record.weighting,
-            alpha0=cfg.alpha0,
-            beta=cfg.beta,
-            literal_value_scaling=cfg.literal_value_scaling,
-        ),
-        ridge_lambda=cfg.ridge_lambda,
-    )
 
 
 _ETS_DECAY = 1.0 - ETS_ALPHA_GRID
@@ -378,7 +369,7 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool) ->
     fit_counts = {name: np.zeros(n, dtype=int) for name in names}
     failed: dict = {name: {} for name in names}
     ok = {name: np.ones(n, dtype=bool) for name in names}
-    global_specs = {g: _global_learner_spec(g, cfg) for g in needed_global_models(cfg.methods)}
+    global_specs = {g: cfg.global_spec(g) for g in needed_global_models(cfg.methods)}
     # per method, the state kept from block to block: a combiner's bank, or an ETS grid once fitted
     carried = {m.name: _CombinerBank(m, n) for m in cfg.methods if METHODS[m.name].family in ("ecw", "gdw")}
     weights = None

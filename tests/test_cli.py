@@ -8,6 +8,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_evaluate import reference_weight_traces
 
 from driftcast import cli
@@ -25,7 +27,7 @@ from driftcast.cli import (
     validate_config,
 )
 from driftcast.core import ConfigError, SeriesIndex, load_dataset
-from driftcast.evaluate import prequential_run
+from driftcast.evaluate import METHODS, prequential_run
 
 
 def tiny_document(**overrides):
@@ -135,6 +137,28 @@ class TestValidation:
         cfg = validate_config(doc)
         gdw = [m for m in cfg.eval_config.methods if m.name == "GDW"][0]
         assert gdw.eta == 0.05 and gdw.true_gradient
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "global_lags": st.integers(-2, 30),
+                "ridge_lambda": st.floats(-1.0, 1.0),
+                "alpha0": st.one_of(st.integers(-1, 2), st.floats(-0.5, 1.5)),
+                "beta": st.one_of(st.integers(-3, 2), st.floats(-3.0, 1.5)),
+                "literal_value_scaling": st.booleans(),
+            },
+        )
+    )
+    def test_accepted_evaluate_section_builds_every_global_spec(self, section):
+        try:
+            cfg = validate_config(tiny_document(evaluate=section)).eval_config
+        except ConfigError:
+            return
+        for name, record in METHODS.items():
+            if record.family == "global_ar":
+                cfg.global_spec(name)
 
     def test_alpha_range(self):
         with pytest.raises(ConfigError):
@@ -415,6 +439,21 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert meta_path.read_bytes() == bad  # not simulated over
 
+    def test_sidecar_longer_than_its_csv_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        meta_path = out / "datasets" / "sudden.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["series_length"] = 10**15
+        meta_path.write_text(json.dumps(meta))
+        bad = meta_path.read_bytes()
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert f"sidecar {meta_path} gives 4 series of {10**15} positions" in capsys.readouterr().err
+        assert meta_path.read_bytes() == bad  # not simulated over
+
     def test_report_loads_no_dataset(self, tmp_path, monkeypatch):
         cfg = validate_config(tiny_document())
         out = tmp_path / "run"
@@ -541,6 +580,19 @@ class TestMainExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_document()))
         assert main(["report", "--config", str(path), "--out", str(tmp_path / "empty")]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    @pytest.mark.parametrize("method", ["AR3_200", "EXP_All"])
+    @pytest.mark.parametrize(
+        "key, value", [("alpha0", 0), ("alpha0", 1.5), ("beta", 0), ("beta", -3.0)], ids=["alpha0-0", "alpha0-1.5", "beta-0", "beta--3"]
+    )
+    def test_weighting_values_checked_before_any_dataset(self, tmp_path, capsys, command, method, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document(methods=[{"name": method}], evaluate={key: value})))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert f"{key} must be in (0, 1]" in capsys.readouterr().err
+        assert not (out / "datasets").exists()
 
     def test_partial_failure_exit_code(self, tmp_path):
         doc = tiny_document()

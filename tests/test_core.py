@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from driftcast.core import (
     ConfigError,
     Dataset,
     DriftMeta,
+    SeriesIndex,
     TimeSeries,
     derive_series_seed,
     load_dataset,
@@ -138,8 +140,18 @@ class TestDriftMeta:
         meta.validate_indices(31)
 
     def test_roundtrip_dict(self):
-        meta = DriftMeta(kind="incremental", t_start=3, t_end=8, seed=99)
-        assert DriftMeta.from_dict(meta.to_dict()) == meta
+        kinds = [
+            DriftMeta(kind="sudden", t_drift=7, seed=3),
+            DriftMeta(kind="incremental", t_start=3, t_end=8, seed=99),
+            DriftMeta(kind="gradual", seed=42),
+            DriftMeta(kind="none"),
+        ]
+        for meta in kinds:
+            d = meta.to_dict()
+            assert list(d) == ["kind", "t_drift", "t_start", "t_end", "seed"]  # the sidecar's key order
+            assert DriftMeta.from_dict(d) == meta
+            assert DriftMeta.from_dict({**d, "extra": 1}) == meta
+            assert DriftMeta.from_dict({k: v for k, v in d.items() if k != "seed"}) == replace(meta, seed=0)
 
 
 class TestTimeSeries:
@@ -189,6 +201,14 @@ class TestDataset:
             ds.values[0, 0] = 1.0
         assert [(s.id, s.drift) for s in ds.series] == [("a", a.drift), ("b", b.drift)]
         assert np.array_equal(ds.series[1].values, b.values)
+
+    def test_index_built_once_and_kept(self, monkeypatch):
+        built = []
+        check = SeriesIndex.__post_init__
+        monkeypatch.setattr(SeriesIndex, "__post_init__", lambda index: built.append(index) or check(index))
+        ds = Dataset("d", ["a", "b"], np.ones((2, 5)), 3, [DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4)])
+        assert len(built) == 1 and ds.index is built[0] and ds.index is ds.index
+        assert ds.index == SeriesIndex(ds.ids, ds.series_length, ds.train_len, ds.drifts)
 
     def test_values_copied(self):
         values = np.ones((2, 5))

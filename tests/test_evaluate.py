@@ -71,7 +71,7 @@ def scalar_replay(dataset, cfg):
         models, failures = {}, {}
         for name in evaluate.needed_global_models(cfg.methods):
             try:
-                models[name] = evaluate.fit_global_ar(dataset, fit_through, evaluate._global_learner_spec(name, cfg))
+                models[name] = evaluate.fit_global_ar(dataset, fit_through, cfg.global_spec(name))
             except FitError as exc:
                 failures[name] = str(exc)
         globals_by_block.append((models, failures))
