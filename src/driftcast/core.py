@@ -412,11 +412,14 @@ def load_dataset(csv_path: str | Path) -> Dataset:
         raise ConfigError(f"dataset files missing: {csv_path} / {meta_path}")
     meta = read_sidecar(csv_path)
     index = SeriesIndex.from_sidecar(meta)
-    ids, length = index.ids, index.series_length
+    ids, length, size = index.ids, index.series_length, csv_path.stat().st_size
     # each value needs a row of its own, of more than a byte: the sidecar
     # sizes the value array, which must not outgrow the file that fills it
-    if len(ids) * length > csv_path.stat().st_size:
-        raise ConfigError(f"sidecar {meta_path} gives {len(ids)} series of {length} positions, more than {csv_path} holds")
+    if len(ids) * length > size:
+        raise ConfigError(
+            f"sidecar {meta_path} gives {len(ids)} series of {length} positions, "
+            f"more values than the {size} bytes of {csv_path} can hold"
+        )
     row_of = {sid: i for i, sid in enumerate(ids)}
     values = np.empty((len(ids), length))
     filled = np.zeros(len(ids), dtype=int)  # values read so far, per series

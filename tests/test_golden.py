@@ -6,10 +6,11 @@ takes the failure paths (a GDW at eta 0.5 that diverges, ECW, Oracle
 and AR3_All); and the paper preset cut to 8 series of the sudden and
 incremental kinds, whose paper-length series (2000 points, horizon 350
 in 7 blocks) carry the ETS grid across blocks and fit the pooled
-models on windows of 1,640 rows and more. Each test reruns its campaign and compares the
-manifest's ``files`` list (path, sha256, bytes, in order), the exit
-code and stdout with the recorded ones, then checks that ``driftcast
-report`` re-renders the same report bytes from the stored traces.
+models on windows of 1,640 rows and more. Each test reruns its
+campaign and compares the manifest's ``files`` list (path, sha256,
+bytes, in order), the exit code and stdout with the recorded ones,
+then checks that ``driftcast report`` re-renders the same report bytes
+from the stored traces.
 
 The bytes depend on the numpy version, the BLAS build and the CPU's
 SIMD extensions, so the recorded environment is stored beside the
