@@ -222,6 +222,12 @@ def validate_config(document: dict) -> RunConfig:
 
     eval_section = _check_keys(document.get("evaluate", {}), _EVAL_KEYS, "evaluate")
     eval_config = EvalConfig(methods=tuple(methods), **eval_section)
+    for kind, sim in sim_configs.items():
+        if sim.train_len + eval_config.horizon > sim.series_length:
+            raise ConfigError(
+                f"simulate.{kind}: train_len {sim.train_len} plus evaluate.horizon {eval_config.horizon} "
+                f"exceeds series_length {sim.series_length}"
+            )
     stats_section = _check_keys(document.get("stats", {}), _STATS_KEYS, "stats")
     alpha = float(stats_section.get("alpha", 0.05))
     if not 0.0 < alpha < 1.0:

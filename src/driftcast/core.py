@@ -204,14 +204,6 @@ class Dataset:
         for name, value in (("ids", index.ids), ("values", values), ("drifts", index.drifts), ("index", index)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_series(cls, name: str, series: Sequence[TimeSeries], generator_config: Optional[dict] = None) -> "Dataset":
-        """A dataset of ``series``, which must share length and ``train_len``."""
-        if len({(len(s), s.train_len) for s in series}) != 1:
-            raise ConfigError("a dataset needs series that share length and train_len")
-        ids, drifts = [s.id for s in series], [s.drift for s in series]
-        return cls(name, ids, np.stack([s.values for s in series]), series[0].train_len, drifts, generator_config)
-
     def __len__(self) -> int:
         return len(self.ids)
 

@@ -182,10 +182,6 @@ class EvalConfig:
         object.__setattr__(self, "methods", methods)
         self.global_spec(_global_model("none", WINDOW_ALL))
 
-    @property
-    def n_blocks(self) -> int:
-        return self.horizon // self.block_size
-
     def global_spec(self, name: str) -> LearnerSpec:
         """The learner spec of global model ``name``: its window and
         weighting method, with this config's lags, ridge and weighting
@@ -501,34 +497,6 @@ def prequential_run(dataset: Dataset, cfg: EvalConfig, capture_weights: bool = F
     )
 
 
-def rmse(actuals: Sequence[float], forecasts: Sequence[float]) -> float:
-    """Root mean squared error over a horizon."""
-    a, f = _metric_inputs(actuals, forecasts)
-    return float(np.sqrt(np.mean((f - a) ** 2)))
-
-
-def mae(actuals: Sequence[float], forecasts: Sequence[float]) -> float:
-    """Mean absolute error over a horizon."""
-    a, f = _metric_inputs(actuals, forecasts)
-    return float(np.mean(np.abs(f - a)))
-
-
-def _metric_inputs(actuals, forecasts):
-    a = np.asarray(actuals, dtype=np.float64)
-    f = np.asarray(forecasts, dtype=np.float64)
-    if a.shape != f.shape or a.ndim != 1 or a.size == 0:
-        raise ConfigError("actuals and forecasts must be equal-length non-empty vectors")
-    return a, f
-
-
-def aggregate(values: Sequence[float]) -> dict:
-    """Mean and median of per-series metric values."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ConfigError("nothing to aggregate")
-    return {"mean": float(np.mean(arr)), "median": float(np.median(arr))}
-
-
 @dataclass
 class EvalReport:
     """Per-series errors plus dataset-level aggregates per method.
@@ -549,9 +517,8 @@ def build_report(run: RunResult) -> EvalReport:
     """Score a campaign: RMSE/MAE per series, mean/median per method.
 
     Each method is scored over its whole (n_series x horizon) matrix at
-    once, row by row as :func:`rmse` and :func:`mae` score one series. A
-    failed series holds a non-finite forecast, so its score is not
-    finite either."""
+    once, one score per row. A failed series holds a non-finite
+    forecast, so its score is not finite either."""
     rmse_ps: dict[str, np.ndarray] = {}
     mae_ps: dict[str, np.ndarray] = {}
     summary: dict[str, dict] = {}
@@ -563,12 +530,11 @@ def build_report(run: RunResult) -> EvalReport:
         ok = np.isfinite(r)
         failure_counts[name] = int(np.sum(~ok))
         if ok.any():
-            r_agg, m_agg = aggregate(r[ok]), aggregate(m[ok])
             summary[name] = {
-                "mean_rmse": r_agg["mean"],
-                "median_rmse": r_agg["median"],
-                "mean_mae": m_agg["mean"],
-                "median_mae": m_agg["median"],
+                "mean_rmse": float(np.mean(r[ok])),
+                "median_rmse": float(np.median(r[ok])),
+                "mean_mae": float(np.mean(m[ok])),
+                "median_mae": float(np.median(m[ok])),
             }
         else:
             summary[name] = dict.fromkeys(("mean_rmse", "median_rmse", "mean_mae", "median_mae"), float("nan"))
@@ -609,9 +575,11 @@ def _drift_parameter(dataset: Dataset | SeriesIndex) -> tuple[str, np.ndarray]:
     raise ConfigError(f"no drift parameter for drift kinds {sorted(kinds)}")
 
 
-def drift_sensitivity(
-    dataset: Dataset | SeriesIndex, report: EvalReport, metric: str = "rmse", n_buckets: int = 10
-) -> SensitivityTable:
+# buckets of a sensitivity table whose series differ in their drift parameter
+SENSITIVITY_BUCKETS = 10
+
+
+def drift_sensitivity(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str = "rmse") -> SensitivityTable:
     """Bucket series by drift point (sudden) or drift length
     (incremental) and average the chosen metric per bucket."""
     per_series = _per_series(report, metric)
@@ -622,6 +590,7 @@ def drift_sensitivity(
         idx = np.zeros(len(values), dtype=int)
         n_buckets = 1
     else:
+        n_buckets = SENSITIVITY_BUCKETS
         edges = np.linspace(lo, hi, n_buckets + 1)
         idx = np.minimum(((values - lo) / (hi - lo) * n_buckets).astype(int), n_buckets - 1)
     counts = np.bincount(idx, minlength=n_buckets)

@@ -32,7 +32,6 @@ from driftcast.core import (
     ConfigError,
     Dataset,
     DriftMeta,
-    TimeSeries,
     derive_series_seed,
     require_finite,
     spawned_seed,
@@ -262,13 +261,8 @@ def _batch_series(cfg: SimConfig, ordinals: Sequence[int]) -> tuple[list, np.nda
     return [f"{cfg.drift_kind}_{i:04d}" for i in ordinals], values, drifts
 
 
-def make_series(cfg: SimConfig, ordinal: int) -> TimeSeries:
-    """Generate series ``ordinal`` of the dataset described by ``cfg``."""
-    (sid,), (values,), (drift,) = _batch_series(cfg, [ordinal])
-    return TimeSeries(id=sid, values=values, train_len=cfg.train_len, drift=drift)
-
-
-def make_dataset(cfg: SimConfig, name: str | None = None) -> Dataset:
-    """Generate the full dataset for ``cfg``, ordered by series ordinal."""
+def make_dataset(cfg: SimConfig) -> Dataset:
+    """Generate the full dataset for ``cfg``, named after its drift kind
+    and ordered by series ordinal."""
     ids, values, drifts = _batch_series(cfg, range(cfg.n_series))
-    return Dataset(name or cfg.drift_kind, ids, values, cfg.train_len, drifts, asdict(cfg))
+    return Dataset(cfg.drift_kind, ids, values, cfg.train_len, drifts, asdict(cfg))

@@ -57,25 +57,16 @@ def format_p(p: float) -> str:
 
 
 def rank_rows(errors: np.ndarray) -> np.ndarray:
-    """Within-row ascending ranks (1 = smallest), average on ties."""
+    """Within-row ascending ranks (1 = smallest), average on ties: the
+    values of a row below an entry, plus half of one more than those
+    equal to it, itself included."""
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 2 or errors.shape[0] < 2 or errors.shape[1] < 2:
         raise ConfigError("errors must be an N x k matrix with N, k >= 2")
     if not np.all(np.isfinite(errors)):
         raise ConfigError("errors must be finite")
-    n, k = errors.shape
-    ranks = np.empty_like(errors)
-    for r in range(n):
-        row = errors[r]
-        order = np.argsort(row, kind="stable")
-        i = 0
-        while i < k:
-            j = i
-            while j + 1 < k and row[order[j + 1]] == row[order[i]]:
-                j += 1
-            ranks[r, order[i : j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
-    return ranks
+    entry, other = errors[:, :, None], errors[:, None, :]
+    return (other < entry).sum(axis=2) + ((other == entry).sum(axis=2) + 1) / 2.0
 
 
 def friedman_test(ranks: np.ndarray) -> tuple[float, float]:

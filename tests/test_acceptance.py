@@ -17,7 +17,7 @@ import pytest
 
 from driftcast.cli import SEED_ENV_VAR, cmd_run, main, preset_config, validate_config
 from driftcast.combine import CombinerState, ecw_step, gdw_step
-from driftcast.core import Dataset, TimeSeries
+from driftcast.core import TimeSeries
 from driftcast.evaluate import (
     EvalConfig,
     MethodSpec,
@@ -28,6 +28,7 @@ from driftcast.learners import LearnerSpec, fit_global_ar, fit_local_ar
 from driftcast.simulate import SimConfig, combine_gradual, make_dataset
 from driftcast.stats import chi2_sf, friedman_test, hochberg, rank_rows
 from driftcast.weighting import WeightingScheme, weight_schedule
+from reference import from_series
 from test_simulate import component_pair
 
 mpmath.mp.dps = 40
@@ -144,7 +145,7 @@ def test_criterion_4_learner_recovery():
     if not (np.allclose(local.coef, phi, atol=1e-8) and abs(local.intercept - 0.3) < 1e-8):
         problems.append("local recovery off")
     g = fit_global_ar(
-        Dataset.from_series(name="d", series=(TimeSeries(id="s0", values=values, train_len=len(values)),)),
+        from_series(name="d", series=(TimeSeries(id="s0", values=values, train_len=len(values)),)),
         len(values),
         LearnerSpec(family="global_ar", p=2, ridge_lambda=0.0),
     )
@@ -159,7 +160,7 @@ def test_criterion_4_learner_recovery():
         lam = float(rng.uniform(0.0, 1.0))
         scheme = WeightingScheme(method="exponential", alpha0=float(rng.uniform(0.6, 1.0)))
         model = fit_global_ar(
-            Dataset.from_series(name="d", series=(TimeSeries(id="s", values=vals, train_len=n),)),
+            from_series(name="d", series=(TimeSeries(id="s", values=vals, train_len=n),)),
             n,
             LearnerSpec(family="global_ar", p=p, weighting=scheme, ridge_lambda=lam),
         )
@@ -204,7 +205,7 @@ def test_criterion_5_harness_integrity():
         )
         for s, other in zip(ds.series, alt.series)
     )
-    run2 = prequential_run(Dataset.from_series(name="corrupt", series=corrupted), ec)
+    run2 = prequential_run(from_series(name="corrupt", series=corrupted), ec)
     for name in run.methods:
         if not np.array_equal(run.predictions[name][:, :70], run2.predictions[name][:, :70]):
             problems.append(f"{name} predictions changed by future corruption")

@@ -594,6 +594,16 @@ class TestMainExitCodes:
         assert f"{key} must be in (0, 1]" in capsys.readouterr().err
         assert not (out / "datasets").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_horizon_checked_against_every_kind_before_any_dataset(self, tmp_path, capsys, command):
+        # the sudden kind fits train_len 90 plus horizon 30; the shorter gradual kind does not
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document(simulate={"gradual": {"series_length": 110}})))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "simulate.gradual: train_len 90 plus evaluate.horizon 30 exceeds series_length 110" in capsys.readouterr().err
+        assert not (out / "datasets").exists()
+
     def test_partial_failure_exit_code(self, tmp_path):
         doc = tiny_document()
         doc["simulate"] = {"sudden": dict(doc["simulate"]["sudden"], train_len=10, series_length=60)}

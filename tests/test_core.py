@@ -23,6 +23,7 @@ from driftcast.core import (
     save_dataset,
     sidecar_path,
 )
+from reference import from_series
 
 
 # ids that need csv quoting, and floats whose repr is easy to get wrong
@@ -69,7 +70,7 @@ def reference_load_dataset(csv_path):
         series.append(TimeSeries(entry["id"], np.array(values_by_id[entry["id"]]), meta["train_len"], drift))
     if set(values_by_id) - {s.id for s in series}:
         raise ConfigError("CSV contains series absent from the sidecar")
-    return Dataset.from_series(meta["name"], series, meta.get("generator_config"))
+    return from_series(meta["name"], series, meta.get("generator_config"))
 
 
 def write_rows(path, header, rows):
@@ -184,16 +185,16 @@ class TestDataset:
         a = make_series("a", n=30)
         b = make_series("b", n=31, train_len=20)
         with pytest.raises(ConfigError):
-            Dataset.from_series(name="d", series=(a, b))
+            from_series(name="d", series=(a, b))
 
     def test_unique_ids(self):
         a = make_series("a")
         with pytest.raises(ConfigError):
-            Dataset.from_series(name="d", series=(a, a))
+            from_series(name="d", series=(a, a))
 
     def test_values_array(self):
         a, b = make_series("a"), make_series("b", kind="sudden", t_drift=4)
-        ds = Dataset.from_series(name="d", series=(a, b))
+        ds = from_series(name="d", series=(a, b))
         assert ds.values.shape == (2, 30) and ds.values.dtype == np.float64
         assert ds.ids == ("a", "b") and ds.drifts == (a.drift, b.drift) and ds.train_len == 20
         assert np.array_equal(ds.values[1], b.values)
@@ -239,7 +240,7 @@ class TestDataset:
 
     def test_from_series_needs_series(self):
         with pytest.raises(ConfigError):
-            Dataset.from_series("d", [])
+            from_series("d", [])
 
 
 class TestDatasetIO:
@@ -257,7 +258,7 @@ class TestDatasetIO:
                     drift=DriftMeta(kind="sudden", t_drift=7, seed=i),
                 )
             )
-        ds = Dataset.from_series(name="roundtrip", series=tuple(series), generator_config={"base_seed": 5})
+        ds = from_series(name="roundtrip", series=tuple(series), generator_config={"base_seed": 5})
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         reference_dataset_csv(ds, tmp_path / "reference.csv")
@@ -278,14 +279,14 @@ class TestDatasetIO:
     )
     def test_malformed_row_rejected(self, tmp_path, row):
         path = tmp_path / "ds.csv"
-        save_dataset(Dataset.from_series(name="d", series=(make_series("a", n=3, train_len=2),)), path)
+        save_dataset(from_series(name="d", series=(make_series("a", n=3, train_len=2),)), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n", newline="")
         with pytest.raises(ConfigError, match=re.escape(f"line 3 of {path}")):
             load_dataset(path)
 
     def test_csv_shape(self, tmp_path):
-        ds = Dataset.from_series(name="d", series=(make_series("a", n=5, train_len=3),))
+        ds = from_series(name="d", series=(make_series("a", n=5, train_len=3),))
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         text = path.read_bytes().decode()
@@ -355,7 +356,7 @@ class TestDatasetReader:
     @pytest.mark.parametrize("chunk", [1, 2, 64])
     def test_inconsistent_rows_rejected(self, tmp_path, monkeypatch, rows, chunk):
         path = tmp_path / "ds.csv"
-        save_dataset(Dataset.from_series("d", [make_series("a", n=2, train_len=1), make_series("b", n=2, train_len=1)]), path)
+        save_dataset(from_series("d", [make_series("a", n=2, train_len=1), make_series("b", n=2, train_len=1)]), path)
         write_rows(path, ["series_id", "t", "value"], rows)
         monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
         with pytest.raises(ConfigError):
@@ -367,7 +368,7 @@ class TestDatasetReader:
         # a check the row-by-row loader did not make: it took the length
         # from the rows, as long as every series had the same
         path = tmp_path / "ds.csv"
-        save_dataset(Dataset.from_series("d", [make_series("a", n=3, train_len=1)]), path)
+        save_dataset(from_series("d", [make_series("a", n=3, train_len=1)]), path)
         write_rows(path, ["series_id", "t", "value"], [("a", 1, "1.0"), ("a", 2, "2.0")])
         assert len(reference_load_dataset(path).values[0]) == 2
         with pytest.raises(ConfigError, match=re.escape("series 'a' holds 2 of 3 positions")):
@@ -380,7 +381,7 @@ class TestDatasetReader:
         # the line counts the header and every row before, in earlier
         # chunks too; a row whose id holds a quoted line break counts once
         path = tmp_path / "ds.csv"
-        save_dataset(Dataset.from_series("d", [make_series("x\ny", n=3, train_len=1), make_series("a", n=3, train_len=1)]), path)
+        save_dataset(from_series("d", [make_series("x\ny", n=3, train_len=1), make_series("a", n=3, train_len=1)]), path)
         rows = [f'"x\ny",{t},1.0\n' for t in (1, 2, 3)] + [f"a,{t},1.0\n" for t in (1, 2, 3)]
         rows.insert(at, bad + "\n")
         path.write_text("series_id,t,value\n" + "".join(rows), encoding="utf-8", newline="")
@@ -391,7 +392,7 @@ class TestDatasetReader:
     def test_blank_line_is_skipped(self, tmp_path):
         # the row-by-row loader rejected a blank line (exit 1); loadtxt skips it
         path = tmp_path / "ds.csv"
-        save_dataset(Dataset.from_series("d", [make_series("a", n=3, train_len=1)]), path)
+        save_dataset(from_series("d", [make_series("a", n=3, train_len=1)]), path)
         lines = path.read_text(encoding="utf-8").split("\n")
         path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n", encoding="utf-8", newline="")
         with pytest.raises(ConfigError, match="line 3"):
@@ -401,7 +402,7 @@ class TestDatasetReader:
     def test_underscore_in_a_number_is_malformed(self, tmp_path):
         # float() reads "1_0" as 10.0; loadtxt rejects it
         path = tmp_path / "ds.csv"
-        save_dataset(Dataset.from_series("d", [make_series("a", n=2, train_len=1)]), path)
+        save_dataset(from_series("d", [make_series("a", n=2, train_len=1)]), path)
         write_rows(path, ["series_id", "t", "value"], [("a", 1, "1_0"), ("a", 2, "2.0")])
         assert reference_load_dataset(path).values[0, 0] == 10.0
         with pytest.raises(ConfigError, match=re.escape(f"malformed row at line 2 of {path}")):
@@ -413,7 +414,7 @@ class TestDatasetReader:
     @pytest.mark.parametrize("header", ["", "series_id,t", "series_id,t,value,x", '"series_id",t,value', "t,series_id,value"])
     def test_header_checked(self, tmp_path, header):
         path = tmp_path / "ds.csv"
-        save_dataset(Dataset.from_series("d", [make_series("a", n=2, train_len=1)]), path)
+        save_dataset(from_series("d", [make_series("a", n=2, train_len=1)]), path)
         path.write_text(header + ("\n" if header else "") + "a,1,1.0\na,2,2.0\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="unexpected header"):
             load_dataset(path)

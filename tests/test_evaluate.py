@@ -14,26 +14,24 @@ from hypothesis.extra.numpy import arrays
 
 from driftcast import core, evaluate
 from driftcast.combine import DEFAULT_PAIRINGS, PairingEnsemble
-from driftcast.core import ConfigError, Dataset, DriftcastError, DriftMeta, FitError, SeriesIndex, TimeSeries
+from driftcast.core import ConfigError, DriftcastError, DriftMeta, FitError, SeriesIndex, TimeSeries
 from driftcast.evaluate import (
     METHODS,
     PAIRING_SUBMODELS,
     EvalConfig,
     MethodSpec,
     RunResult,
-    aggregate,
     build_report,
     drift_region_split,
     drift_sensitivity,
     load_traces,
-    mae,
     prequential_run,
-    rmse,
     write_traces,
     write_weight_traces,
 )
 from driftcast.learners import ForecastModel, fit_ets, predict_one
 from driftcast.simulate import SimConfig, make_dataset
+from reference import from_series, mae, rmse
 from test_core import write_rows
 
 
@@ -66,7 +64,7 @@ def scalar_replay(dataset, cfg):
     harness's failure rules. Fits go through the ``evaluate`` module's
     names so that a test's substitutes reach both paths."""
     globals_by_block = []
-    for b in range(cfg.n_blocks):
+    for b in range(cfg.horizon // cfg.block_size):
         fit_through = dataset.train_len + b * cfg.block_size
         models, failures = {}, {}
         for name in evaluate.needed_global_models(cfg.methods):
@@ -193,7 +191,7 @@ def spiked_dataset(n_series=4, spike_series=1, length=80, train_len=50, spike_at
         if i == spike_series:
             values[spike_at : spike_at + 2] = 1e308
         series.append(TimeSeries(id=f"s{i}", values=values, train_len=train_len))
-    return Dataset.from_series(name="spiked", series=tuple(series))
+    return from_series(name="spiked", series=tuple(series))
 
 
 def two_lag_sum_models(dataset, train_through, spec):
@@ -225,21 +223,6 @@ class TestMetrics:
         for _ in range(30):
             a, f = rng.normal(size=(2, 40))
             assert rmse(a, f) >= mae(a, f) - 1e-12
-
-
-class TestAggregate:
-    def test_single_value(self):
-        agg = aggregate([0.7])
-        assert agg["mean"] == agg["median"] == pytest.approx(0.7)
-
-    def test_even_count_midpoint(self):
-        agg = aggregate([1.0, 2.0, 3.0, 10.0])
-        assert agg["mean"] == pytest.approx(4.0)
-        assert agg["median"] == pytest.approx(2.5)
-
-    def test_permutation_invariance(self):
-        values = [0.4, 1.9, 0.2, 5.5, 3.1]
-        assert aggregate(values) == aggregate(values[::-1])
 
 
 class TestPrequentialRun:
@@ -278,7 +261,7 @@ class TestPrequentialRun:
             values = s.values.copy()
             values[corrupt_from:] = other.values[corrupt_from:]
             corrupted.append(TimeSeries(id=s.id, values=values, train_len=s.train_len, drift=s.drift))
-        run2 = prequential_run(Dataset.from_series(name="corrupt", series=tuple(corrupted)), cfg)
+        run2 = prequential_run(from_series(name="corrupt", series=tuple(corrupted)), cfg)
         for name in baseline.methods:
             a = baseline.predictions[name][:, :15]
             b = run2.predictions[name][:, :15]
@@ -289,7 +272,7 @@ class TestPrequentialRun:
 
     def test_series_reordering_invariance(self, monkeypatch):
         ds = tiny_dataset()
-        reordered = Dataset.from_series(name=ds.name, series=tuple(reversed(ds.series)), generator_config=None)
+        reordered = from_series(name=ds.name, series=tuple(reversed(ds.series)), generator_config=None)
         cfg = EvalConfig(horizon=30, block_size=10, methods=specs(*ALL_METHODS))
         rep1 = build_report(prequential_run(ds, cfg))
         rep2 = build_report(prequential_run(reordered, cfg))
@@ -302,7 +285,7 @@ class TestPrequentialRun:
         real_fit = evaluate.fit_global_ar
 
         def fit_in_id_order(dataset, train_through, spec):
-            canonical = Dataset.from_series(name=dataset.name, series=tuple(sorted(dataset.series, key=lambda s: s.id)))
+            canonical = from_series(name=dataset.name, series=tuple(sorted(dataset.series, key=lambda s: s.id)))
             return real_fit(canonical, train_through, spec)
 
         monkeypatch.setattr(evaluate, "fit_global_ar", fit_in_id_order)
@@ -410,7 +393,7 @@ class TestBatchEngine:
             assert run.weight_traces[name][0][1] < cfg.horizon  # steps recorded for s1
         assert run.failures["Plain_All"] == {}
         # the other series of the batch come out as if run on their own
-        rest = Dataset.from_series(name="rest", series=tuple(s for s in ds.series if s.id != "s1"))
+        rest = from_series(name="rest", series=tuple(s for s in ds.series if s.id != "s1"))
         alone = prequential_run(rest, cfg)
         for name in run.methods:
             assert np.array_equal(np.delete(run.predictions[name], 1, axis=0), alone.predictions[name]), name
@@ -575,7 +558,7 @@ class TestSensitivity:
             )
             for i, v in enumerate(values)
         )
-        ds = Dataset.from_series(name="d", series=series)
+        ds = from_series(name="d", series=series)
         cfg = EvalConfig(horizon=20, block_size=10, methods=specs("AR3_All"))
         report = build_report(prequential_run(ds, cfg))
         table = drift_sensitivity(ds, report)
@@ -967,9 +950,34 @@ class TestCombinerBank:
                 assert not np.any((w_p < 0.0) | (w_p > 1.0) | (w_a < 0.0) | (w_a > 1.0))
 
 
+def summary_of(errors):
+    """The report summary of one method whose series ``i`` misses its one
+    actual by ``errors[i]``, so that both its RMSE and its MAE are
+    ``errors[i]``."""
+    errors = np.asarray(errors, dtype=np.float64)
+    ids = [f"s{i}" for i in range(len(errors))]
+    return build_report(hand_made_run(ids, 10, np.zeros((len(errors), 1)), {"AR3_All": errors[:, None]})).summary["AR3_All"]
+
+
 class TestBuildReport:
     """The array scoring of ``build_report`` against the scalar
-    ``rmse``/``mae`` oracles, one series at a time."""
+    ``rmse``/``mae`` oracles, one series at a time, and its summary on
+    hand-made scores."""
+
+    def test_single_series_mean_is_median(self):
+        summary = summary_of([0.7])
+        assert summary["mean_rmse"] == summary["median_rmse"] == pytest.approx(0.7)
+        assert summary["mean_mae"] == summary["median_mae"] == pytest.approx(0.7)
+
+    def test_even_count_median_is_the_midpoint(self):
+        summary = summary_of([1.0, 2.0, 3.0, 10.0])
+        for metric in ("rmse", "mae"):
+            assert summary[f"mean_{metric}"] == pytest.approx(4.0)
+            assert summary[f"median_{metric}"] == pytest.approx(2.5)
+
+    def test_series_order_leaves_the_summary(self):
+        errors = [0.4, 1.9, 0.2, 5.5, 3.1]
+        assert summary_of(errors) == summary_of(errors[::-1])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcast.core import ConfigError, Dataset, FitError, TimeSeries
+from driftcast.core import ConfigError, FitError, TimeSeries
 from driftcast.learners import (
     WINDOW_ALL,
     WINDOW_LAST_200,
@@ -16,6 +16,7 @@ from driftcast.learners import (
     resolve_window,
 )
 from driftcast.weighting import WeightingScheme, weight_schedule
+from reference import from_series
 
 
 def recurrence_series(phi, intercept, start, n):
@@ -29,7 +30,7 @@ def dataset_from(values_list, train_len=None):
     series = []
     for i, v in enumerate(values_list):
         series.append(TimeSeries(id=f"s{i}", values=v, train_len=train_len or len(v)))
-    return Dataset.from_series(name="d", series=tuple(series))
+    return from_series(name="d", series=tuple(series))
 
 
 def lag_matrix(values, p, first, last):
@@ -143,7 +144,7 @@ class TestReferenceOracle:
         length = data.draw(st.sampled_from([p + 1, p + 2, 2 * p + 3, 205, 230]), label="length")
         n_series = data.draw(st.integers(1, 5), label="n_series")
         values = data.draw(ar_series(n_series, length))
-        ds = Dataset.from_series(
+        ds = from_series(
             name="d", series=tuple(TimeSeries(id=f"s{i}", values=v, train_len=length) for i, v in enumerate(values))
         )
         scheme = WeightingScheme(
@@ -254,7 +255,7 @@ class TestGlobalAr:
     @pytest.mark.parametrize("p", [200, 250])
     def test_no_rows_in_a_scaled_window(self, p):
         # the scaled last-200 window holds no target once p >= 200
-        ds = Dataset.from_series(
+        ds = from_series(
             name="d", series=tuple(TimeSeries(id=sid, values=np.arange(300.0), train_len=300) for sid in ("a", "b"))
         )
         scheme = WeightingScheme(literal_value_scaling=True)

@@ -17,8 +17,8 @@ from driftcast.simulate import (
     combine_sudden,
     draw_drift_meta,
     make_dataset,
-    make_series,
 )
+from reference import make_series
 
 
 # The scalar AR generator that the simulator ran once per trajectory

@@ -3,6 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftcast.core import ConfigError
 from driftcast.stats import (
@@ -14,6 +17,7 @@ from driftcast.stats import (
     rank_rows,
     run_rank_tests,
 )
+from reference import rank_rows as tie_walk_ranks
 
 mpmath.mp.dps = 40
 
@@ -47,6 +51,16 @@ class TestRankRows:
     def test_rejects_non_finite(self):
         with pytest.raises(ConfigError):
             rank_rows(np.array([[1.0, np.nan], [1.0, 2.0]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_tie_walk(self, data):
+        # few distinct values, so most rows hold ties; -0.0 ties with 0.0
+        shape = (data.draw(st.integers(2, 40)), data.draw(st.integers(2, 16)))
+        errors = data.draw(arrays(np.float64, shape, elements=st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 3.0])))
+        ranks = rank_rows(errors)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, tie_walk_ranks(errors))
 
 
 class TestFriedman:
