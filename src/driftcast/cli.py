@@ -522,13 +522,20 @@ def _md_table(columns: tuple, rows: list[list]) -> list[str]:
     ]
 
 
+# bytes per read of _sha256: one buffer of this size serves every read
+_HASH_BLOCK = 1 << 16
+
+
 def _sha256(path: Path) -> str:
-    """Hex sha256 of a file, read 1 MiB at a time: a trace file is never
-    held in memory whole."""
+    """Hex sha256 of a file, read into one reused buffer of
+    ``_HASH_BLOCK`` bytes: a trace file is never held in memory whole,
+    and no read allocates."""
     digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK)
+    view = memoryview(block)
     with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
+        while size := fh.readinto(block):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

@@ -10,6 +10,9 @@ Conventions used throughout the package:
   spawn keys. See README for the full policy.
 * Values are float64 and must be finite. A :class:`Dataset` checks its
   whole value array once, when it is built, and rejects non-finite input.
+  It keeps a read-only float64 array that owns its memory as it is
+  given (the loaders build theirs for it and hand it over), and copies
+  anything else, so no caller can change a dataset's values.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import re
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -182,6 +185,10 @@ class Dataset:
     simulation config (or None for externally loaded data). ``index``
     is all of it but the values: the :class:`SeriesIndex` that checked
     it when the dataset was built.
+
+    ``values`` given as a read-only float64 array that owns its memory
+    is kept, not copied: its builder hands it over. Anything else, a
+    writable array, a view or a list, is copied.
     """
 
     name: str
@@ -193,7 +200,12 @@ class Dataset:
     index: SeriesIndex = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ids, values, drifts = tuple(self.ids), np.array(self.values, dtype=np.float64), tuple(self.drifts)
+        ids, values, drifts = tuple(self.ids), self.values, tuple(self.drifts)
+        # keep a read-only float64 array that owns its memory (its builder
+        # hands it over); copy anything else, which its caller may still change
+        owned = isinstance(values, np.ndarray) and values.dtype == np.float64 and values.flags.owndata
+        if not owned or values.flags.writeable:
+            values = np.array(values, dtype=np.float64)
         if values.ndim != 2 or values.size == 0 or not len(ids) == len(values) == len(drifts):
             raise ConfigError("a dataset needs a non-empty (n_series, length) array, an id and a drift per row")
         index = SeriesIndex(ids, values.shape[1], self.train_len, drifts)
@@ -252,12 +264,20 @@ def csv_rows(lead: Sequence[str], *columns: Sequence[str]) -> str:
     return prefix + ("\n" + prefix).join(map(",".join, zip(*columns))) + "\n"
 
 
+def open_csv(path: str | Path, header: Sequence[str]) -> TextIO:
+    """A CSV file opened for writing, its ``header`` row written: the
+    caller writes the chunks of rows (from :func:`csv_rows`) and closes
+    it."""
+    fh = open(path, "w", encoding="utf-8", newline="")
+    fh.write(",".join(map(csv_field, header)) + "\n")
+    return fh
+
+
 def write_csv(path: str | Path, header: Sequence[str], chunks: Iterable[str]) -> Path:
     """Write a CSV file: the ``header`` row, then each chunk of rows
     (from :func:`csv_rows`) as it is produced."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(csv_field, header)) + "\n")
+    with open_csv(path, header) as fh:
         fh.writelines(chunks)
     return path
 
@@ -429,6 +449,7 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     short = np.flatnonzero(filled < length)
     if short.size:
         raise ConfigError(f"series {ids[short[0]]!r} holds {filled[short[0]]} of {length} positions in {csv_path}")
+    values.setflags(write=False)  # handed over to the Dataset, which keeps it
     return Dataset(meta["name"], ids, values, index.train_len, index.drifts, meta["generator_config"])
 
 

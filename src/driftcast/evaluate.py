@@ -41,6 +41,7 @@ reports.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -57,6 +58,7 @@ from driftcast.core import (
     csv_rows,
     format_floats,
     key_runs,
+    open_csv,
     read_csv,
     write_csv,
 )
@@ -202,7 +204,9 @@ class RunResult:
     sub-model forecasts, ``w_p``, ``w_a`` and the pairing's combined
     forecast of each step, pairings in ``DEFAULT_PAIRINGS`` order. Only
     the first ``steps[i]`` rows of series ``i`` are recorded: a series
-    stops at its combiner's failure.
+    stops at its combiner's failure. A recorded sub-model forecast is
+    the same in every table and pairing that holds it: the forecast of
+    that step by the pairing's sub-model of ``PAIRING_SUBMODELS``.
 
     A run loaded from a trace file (:func:`load_traces`) has its
     sidecar's series, in the sidecar's order, and its ``train_len``; the
@@ -245,9 +249,12 @@ def _ar_forecasts(V: np.ndarray, start: int, stop: int, coef: np.ndarray, interc
     of the time-major array ``V``; ``coef`` is (p,) for a shared model
     or (n, p) per series. Sums ``coef[k] * lag_{k+1}`` in lag order from
     zero, then adds the intercept, as ``predict_one`` does."""
+    p = coef.shape[-1]
+    # the block's lags, gathered once: V may be a strided view of the dataset
+    lagged = np.ascontiguousarray(V[start - p : stop - 1])
     acc = np.zeros((stop - start, V.shape[1]))
-    for k in range(coef.shape[-1]):
-        acc = acc + coef[..., k] * V[start - 1 - k : stop - 1 - k]
+    for k in range(p):
+        acc = acc + coef[..., k] * lagged[p - 1 - k : stop - start + p - 1 - k]
     return intercept + acc
 
 
@@ -359,7 +366,7 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool) ->
     weight traces as :attr:`RunResult.weight_traces` holds them."""
     values, train_len = dataset.values, dataset.train_len
     n = len(dataset)
-    V = np.ascontiguousarray(values.T)  # V[t]: every series' value at position t
+    V = values.T  # V[t]: every series' value at position t; a view, not a copy, of the dataset
     names = [m.name for m in cfg.methods]
     preds = {name: np.full((n, cfg.horizon), np.nan) for name in names}
     fit_counts = {name: np.zeros(n, dtype=int) for name in names}
@@ -421,8 +428,9 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool) ->
             y_partial = np.stack([block_globals[partial] for partial, _ in PAIRING_SUBMODELS], axis=-1)
             y_all = np.stack([block_globals[full] for _, full in PAIRING_SUBMODELS], axis=-1)
             out = np.empty((stop - start, n))
+            previous = np.ascontiguousarray(V[start - 1 : stop - 1])  # each step's previous actual, gathered once
             for k, t in enumerate(range(start, stop)):
-                out[k], bad = bank.step(y_partial[k], y_all[k], V[t - 1])
+                out[k], bad = bank.step(y_partial[k], y_all[k], previous[k])
                 preds[name][bad & ok[name]] = np.nan  # a diverged combiner keeps no forecasts
                 fail(name, bad, f"combiner diverged at t={t + 1}: {NON_FINITE_RSS}")
                 if capture_weights:
@@ -639,41 +647,59 @@ def write_traces(path: str | Path, run: RunResult) -> Path:
     with t the 1-based series position."""
     positions = [str(run.train_len + k + 1) for k in range(run.horizon)]
     ids = [csv_field(sid) for sid in run.series_ids]
-    actuals = [format_floats(row) for row in run.actuals]  # shared by every method
+    # each series' "t,actual" fields, shared by every method: held as one
+    # string per series and split on use, not as a string per value
+    actuals = [csv_rows((), positions, format_floats(row)) for row in run.actuals]
     return write_csv(
         path,
         list(TRACE_COLUMNS),
         (
-            csv_rows((sid, csv_name), positions, actuals[i], format_floats(run.predictions[name][i]))
+            csv_rows((sid, csv_name), actuals[i].splitlines(), format_floats(run.predictions[name][i]))
             for name, csv_name in zip(run.methods, map(csv_field, run.methods))
             for i, sid in enumerate(ids)
         ),
     )
 
 
+# where each sub-model's forecasts sit in a weight-trace table: (pairing, column)
+_SUBMODEL_COLUMNS = {sub: (j, c) for j, pair in enumerate(PAIRING_SUBMODELS) for c, sub in enumerate(pair)}
+
+
 def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> list[Path]:
     """Weight trace CSVs of ``run``'s combiners, one file per (combiner,
     pairing): ``weights_<method>_<pairing>_<kind>.csv`` with columns
     ``series_id,t,y,yhat_partial,yhat_all,w_p,w_a,yhat_combined``, one
-    row per recorded step, y being the actual."""
+    row per recorded step, y being the actual.
+
+    The files are written side by side, one series at a time, so that
+    the text of a series' actuals and of each sub-model's forecasts is
+    built once and shared by every file that holds it: every combiner
+    and pairing records the same forecasts of a sub-model."""
     header = ["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"]
     positions = [str(run.train_len + k + 1) for k in range(run.horizon)]
-    paths = []
-    for method, (steps, table) in run.weight_traces.items():
-        recorded = np.flatnonzero(steps)
-        if not recorded.size:  # the combiner never stepped: no file
-            continue
-        # series id, t and y once per series, shared by the pairing files
-        shared = {
-            i: ((csv_field(run.series_ids[i]),), positions[: steps[i]], format_floats(run.actuals[i, : steps[i]]))
-            for i in recorded
-        }
-        for j, (partial, full) in enumerate(DEFAULT_PAIRINGS):
-            path = Path(directory) / f"weights_{method}_{partial[:3]}{full[:3]}_{kind}.csv"
-            # one column per recorded value of the pairing
-            chunks = (csv_rows(*shared[i], *map(format_floats, table[i, : steps[i], j].T)) for i in recorded)
-            paths.append(write_csv(path, header, chunks))
-    return paths
+    # a combiner that never stepped gets no file
+    traces = {method: trace for method, trace in run.weight_traces.items() if trace[0].any()}
+    if not traces:
+        return []
+    paths = {
+        (method, j): Path(directory) / f"weights_{method}_{partial[:3]}{full[:3]}_{kind}.csv"
+        for method in traces
+        for j, (partial, full) in enumerate(DEFAULT_PAIRINGS)
+    }
+    with ExitStack() as stack:
+        files = {key: stack.enter_context(open_csv(path, header)) for key, path in paths.items()}
+        for i, sid in enumerate(map(csv_field, run.series_ids)):
+            # the combiner that stepped longest on the series holds every recorded sub-model forecast
+            steps, longest = max(((recorded[i], table) for recorded, table in traces.values()), key=lambda pair: pair[0])
+            y = format_floats(run.actuals[i, :steps])
+            forecasts = {sub: format_floats(longest[i, :steps, j, c]) for sub, (j, c) in _SUBMODEL_COLUMNS.items()}
+            for method, (recorded, table) in traces.items():
+                k = recorded[i]
+                for j, (partial, full) in enumerate(PAIRING_SUBMODELS):
+                    weights = map(format_floats, table[i, :k, j, 2:].T)
+                    rows = csv_rows((sid,), positions[:k], y[:k], forecasts[partial][:k], forecasts[full][:k], *weights)
+                    files[method, j].write(rows)
+    return list(paths.values())
 
 
 def load_traces(path: str | Path, index: SeriesIndex) -> RunResult:

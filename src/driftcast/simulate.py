@@ -265,4 +265,5 @@ def make_dataset(cfg: SimConfig) -> Dataset:
     """Generate the full dataset for ``cfg``, named after its drift kind
     and ordered by series ordinal."""
     ids, values, drifts = _batch_series(cfg, range(cfg.n_series))
+    values.setflags(write=False)  # handed over to the Dataset, which keeps it
     return Dataset(cfg.drift_kind, ids, values, cfg.train_len, drifts, asdict(cfg))

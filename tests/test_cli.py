@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_core import traced_peak
 from test_evaluate import reference_weight_traces
 
 from driftcast import cli
@@ -554,11 +555,19 @@ class TestRunCommand:
             expected.update(reference_weight_traces(run, kind))
         assert {path.name: path.read_bytes() for path in (out / "traces").glob("weights_*")} == expected
 
-    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 3])
+    @pytest.mark.parametrize(
+        "size", [0, 1, cli._HASH_BLOCK - 1, cli._HASH_BLOCK, cli._HASH_BLOCK + 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 3]
+    )
     def test_manifest_digest_reads_blocks(self, tmp_path, size):
         path = tmp_path / "blob"
         path.write_bytes(bytes(range(256)) * (size // 256) + bytes(size % 256))
         assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_manifest_digest_reads_into_one_small_buffer(self, tmp_path):
+        path = tmp_path / "blob"
+        path.write_bytes(bytes(range(256)) * (6 << 12))  # 6 MiB
+        digest, peak = traced_peak(cli._sha256, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest() and peak < 256 << 10
 
 
 class TestMainExitCodes:

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +81,16 @@ def write_rows(path, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, in bytes, as
+    ``tracemalloc`` counts it (numpy reports its arrays' data there)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bits(values):
@@ -217,6 +228,19 @@ class TestDataset:
         values[0, 0] = 7.0
         assert ds.values[0, 0] == 1.0 and values.flags.writeable
 
+    def test_handed_over_values_kept(self):
+        owned = np.ones((2, 5))
+        owned.setflags(write=False)
+        drifts = [DriftMeta(kind="none")] * 2
+        assert np.shares_memory(Dataset("d", ["a", "b"], owned, 3, drifts).values, owned)
+        # a writable array, a view or another dtype may still change under
+        # the dataset, or is not float64: each is copied
+        view = owned[:, :]
+        single = np.ones((2, 5), dtype=np.float32)
+        single.setflags(write=False)
+        for values in (np.ones((2, 5)), view, single):
+            assert not np.shares_memory(Dataset("d", ["a", "b"], values, 3, drifts).values, values)
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -299,6 +323,14 @@ class TestDatasetIO:
     def test_missing_files(self, tmp_path):
         with pytest.raises(ConfigError):
             load_dataset(tmp_path / "absent.csv")
+
+    def test_load_holds_one_value_array(self, tmp_path):
+        n, length = 64, 5000
+        values = np.random.default_rng(3).normal(size=(n, length))
+        save_dataset(Dataset("d", [f"s{i}" for i in range(n)], values, 10, [DriftMeta(kind="none")] * n), tmp_path / "d.csv")
+        loaded, peak = traced_peak(load_dataset, tmp_path / "d.csv")
+        # the array the reader fills becomes the dataset's: no second copy
+        assert np.array_equal(loaded.values, values) and peak < 1.5 * values.nbytes
 
 
 # ids that need quoting, ids with outer spaces, an empty id, or any text

@@ -32,7 +32,7 @@ from driftcast.evaluate import (
 from driftcast.learners import ForecastModel, fit_ets, predict_one
 from driftcast.simulate import SimConfig, make_dataset
 from reference import from_series, mae, rmse
-from test_core import write_rows
+from test_core import traced_peak, write_rows
 
 
 def tiny_dataset(kind="sudden", n_series=6, length=120, train_len=90, seed=2718):
@@ -787,6 +787,20 @@ class TestTraceIO:
                 assert np.array_equal(loaded.predictions[name], run.predictions[name], equal_nan=True)
                 assert np.array_equal(np.signbit(loaded.predictions[name]), np.signbit(run.predictions[name]))
 
+    def test_actual_text_held_per_series(self, tmp_path):
+        def random_run(n, horizon):
+            rng = np.random.default_rng(n)
+            predictions = {name: rng.normal(size=(n, horizon)) for name in ("A", "B")}
+            return hand_made_run([f"s{i}" for i in range(n)], 100, rng.normal(size=(n, horizon)), predictions)
+
+        # what any call holds (file buffers and the like), measured on one row
+        _, fixed = traced_peak(write_traces, tmp_path / "one.csv", random_run(1, 1))
+        run = random_run(100, 50)
+        _, peak = traced_peak(write_traces, tmp_path / "traces.csv", run)
+        # the actuals' text, kept for every method, as one string per series:
+        # about 25 bytes per actual, where a string per actual takes 70-odd
+        assert peak - fixed < 40 * run.actuals.size
+
     def test_carriage_return_left_unquoted(self, tmp_path):
         # csv.writer with "\n" line ends does not quote "\r"; the bytes
         # follow it, although csv.reader cannot read such a row back
@@ -879,11 +893,19 @@ class TestWeightTraces:
     def test_bytes_match_row_writer(self, data):
         series_ids = data.draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
         n, horizon = len(series_ids), data.draw(st.integers(1, 4))
+        subs = sorted({sub for pair in PAIRING_SUBMODELS for sub in pair})
+        forecasts = dict(zip(subs, data.draw(arrays(np.float64, (len(subs), n, horizon), elements=FLOATS))))
         weight_traces = {}
         for name in ("GDW", "ECW"):
             # no step, some steps or the full horizon, series by series
             steps = np.array(data.draw(st.lists(st.integers(0, horizon), min_size=n, max_size=n)))
             table = data.draw(arrays(np.float64, (n, horizon, len(DEFAULT_PAIRINGS), 5), elements=FLOATS))
+            # a recorded step holds its sub-models' forecasts, as every
+            # combiner and pairing does (RunResult); the rows after a
+            # series' last recorded step keep their drawn values
+            for i, k in enumerate(steps):
+                for j, (partial, full) in enumerate(PAIRING_SUBMODELS):
+                    table[i, :k, j, 0], table[i, :k, j, 1] = forecasts[partial][i, :k], forecasts[full][i, :k]
             weight_traces[name] = (steps, table)
         actuals = data.draw(arrays(np.float64, (n, horizon), elements=FLOATS))
         run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, {}, weight_traces)
