@@ -690,7 +690,8 @@ def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> lis
         files = {key: stack.enter_context(open_csv(path, header)) for key, path in paths.items()}
         for i, sid in enumerate(map(csv_field, run.series_ids)):
             # the combiner that stepped longest on the series holds every recorded sub-model forecast
-            steps, longest = max(((recorded[i], table) for recorded, table in traces.values()), key=lambda pair: pair[0])
+            most, longest = max(traces.values(), key=lambda trace: trace[0][i])
+            steps = most[i]
             y = format_floats(run.actuals[i, :steps])
             forecasts = {sub: format_floats(longest[i, :steps, j, c]) for sub, (j, c) in _SUBMODEL_COLUMNS.items()}
             for method, (recorded, table) in traces.items():

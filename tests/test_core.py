@@ -233,8 +233,8 @@ class TestDataset:
         owned.setflags(write=False)
         drifts = [DriftMeta(kind="none")] * 2
         assert np.shares_memory(Dataset("d", ["a", "b"], owned, 3, drifts).values, owned)
-        # a writable array, a view or another dtype may still change under
-        # the dataset, or is not float64: each is copied
+        # its caller may still change a writable array or a view, and a
+        # float32 array is no float64 one: each is copied
         view = owned[:, :]
         single = np.ones((2, 5), dtype=np.float32)
         single.setflags(write=False)
@@ -327,7 +327,8 @@ class TestDatasetIO:
     def test_load_holds_one_value_array(self, tmp_path):
         n, length = 64, 5000
         values = np.random.default_rng(3).normal(size=(n, length))
-        save_dataset(Dataset("d", [f"s{i}" for i in range(n)], values, 10, [DriftMeta(kind="none")] * n), tmp_path / "d.csv")
+        dataset = Dataset("d", [f"s{i}" for i in range(n)], values, 10, [DriftMeta(kind="none")] * n)
+        save_dataset(dataset, tmp_path / "d.csv")
         loaded, peak = traced_peak(load_dataset, tmp_path / "d.csv")
         # the array the reader fills becomes the dataset's: no second copy
         assert np.array_equal(loaded.values, values) and peak < 1.5 * values.nbytes
