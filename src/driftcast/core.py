@@ -11,8 +11,9 @@ Conventions used throughout the package:
 * Values are float64 and must be finite. A :class:`Dataset` checks its
   whole value array once, when it is built, and rejects non-finite input.
   It keeps a read-only float64 array that owns its memory as it is
-  given (the loaders build theirs for it and hand it over), and copies
-  anything else, so no caller can change a dataset's values.
+  given, and copies anything else. The loaders build their arrays for
+  it and hand them over: a builder that hands an array over must not
+  make it writable again.
 """
 
 from __future__ import annotations
@@ -187,8 +188,9 @@ class Dataset:
     it when the dataset was built.
 
     ``values`` given as a read-only float64 array that owns its memory
-    is kept, not copied: its builder hands it over. Anything else, a
-    writable array, a view or a list, is copied.
+    is kept, not copied: its builder hands it over and must not make it
+    writable again. Anything else, a writable array, a view or a list,
+    is copied.
     """
 
     name: str

@@ -204,9 +204,7 @@ class RunResult:
     sub-model forecasts, ``w_p``, ``w_a`` and the pairing's combined
     forecast of each step, pairings in ``DEFAULT_PAIRINGS`` order. Only
     the first ``steps[i]`` rows of series ``i`` are recorded: a series
-    stops at its combiner's failure. A recorded sub-model forecast is
-    the same in every table and pairing that holds it: the forecast of
-    that step by the pairing's sub-model of ``PAIRING_SUBMODELS``.
+    stops at its combiner's failure.
 
     A run loaded from a trace file (:func:`load_traces`) has its
     sidecar's series, in the sidecar's order, and its ``train_len``; the
@@ -661,44 +659,44 @@ def write_traces(path: str | Path, run: RunResult) -> Path:
     )
 
 
-# where each sub-model's forecasts sit in a weight-trace table: (pairing, column)
-_SUBMODEL_COLUMNS = {sub: (j, c) for j, pair in enumerate(PAIRING_SUBMODELS) for c, sub in enumerate(pair)}
-
-
 def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> list[Path]:
     """Weight trace CSVs of ``run``'s combiners, one file per (combiner,
     pairing): ``weights_<method>_<pairing>_<kind>.csv`` with columns
     ``series_id,t,y,yhat_partial,yhat_all,w_p,w_a,yhat_combined``, one
     row per recorded step, y being the actual.
 
-    The files are written side by side, one series at a time, so that
-    the text of a series' actuals and of each sub-model's forecasts is
-    built once and shared by every file that holds it: every combiner
-    and pairing records the same forecasts of a sub-model."""
+    The files are written side by side, one series at a time. Within a
+    series, the actuals and sub-model forecasts are formatted once per
+    distinct column, bit for bit: in a campaign, each sub-model's
+    forecasts sit in two pairings of both combiners, and the combiners
+    record the same actuals."""
     header = ["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"]
     positions = [str(run.train_len + k + 1) for k in range(run.horizon)]
     # a combiner that never stepped gets no file
     traces = {method: trace for method, trace in run.weight_traces.items() if trace[0].any()}
-    if not traces:
-        return []
     paths = {
         (method, j): Path(directory) / f"weights_{method}_{partial[:3]}{full[:3]}_{kind}.csv"
         for method in traces
         for j, (partial, full) in enumerate(DEFAULT_PAIRINGS)
     }
+    text = {}  # a column's bytes -> its text, for the current series
+
+    def formatted(column: np.ndarray) -> list[str]:
+        key = column.tobytes()
+        if key not in text:
+            text[key] = format_floats(column)
+        return text[key]
+
     with ExitStack() as stack:
         files = {key: stack.enter_context(open_csv(path, header)) for key, path in paths.items()}
         for i, sid in enumerate(map(csv_field, run.series_ids)):
-            # the combiner that stepped longest on the series holds every recorded sub-model forecast
-            most, longest = max(traces.values(), key=lambda trace: trace[0][i])
-            steps = most[i]
-            y = format_floats(run.actuals[i, :steps])
-            forecasts = {sub: format_floats(longest[i, :steps, j, c]) for sub, (j, c) in _SUBMODEL_COLUMNS.items()}
-            for method, (recorded, table) in traces.items():
-                k = recorded[i]
-                for j, (partial, full) in enumerate(PAIRING_SUBMODELS):
-                    weights = map(format_floats, table[i, :k, j, 2:].T)
-                    rows = csv_rows((sid,), positions[:k], y[:k], forecasts[partial][:k], forecasts[full][:k], *weights)
+            text.clear()
+            for method, (steps, table) in traces.items():
+                k = steps[i]
+                y = formatted(run.actuals[i, :k])
+                for j in range(len(DEFAULT_PAIRINGS)):
+                    columns = table[i, :k, j].T
+                    rows = csv_rows((sid,), positions[:k], y, *map(formatted, columns[:2]), *map(format_floats, columns[2:]))
                     files[method, j].write(rows)
     return list(paths.values())
 

@@ -893,19 +893,11 @@ class TestWeightTraces:
     def test_bytes_match_row_writer(self, data):
         series_ids = data.draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
         n, horizon = len(series_ids), data.draw(st.integers(1, 4))
-        subs = sorted({sub for pair in PAIRING_SUBMODELS for sub in pair})
-        forecasts = dict(zip(subs, data.draw(arrays(np.float64, (len(subs), n, horizon), elements=FLOATS))))
         weight_traces = {}
         for name in ("GDW", "ECW"):
             # no step, some steps or the full horizon, series by series
             steps = np.array(data.draw(st.lists(st.integers(0, horizon), min_size=n, max_size=n)))
             table = data.draw(arrays(np.float64, (n, horizon, len(DEFAULT_PAIRINGS), 5), elements=FLOATS))
-            # a recorded step holds its sub-models' forecasts, as every
-            # combiner and pairing does (RunResult); the rows after a
-            # series' last recorded step keep their drawn values
-            for i, k in enumerate(steps):
-                for j, (partial, full) in enumerate(PAIRING_SUBMODELS):
-                    table[i, :k, j, 0], table[i, :k, j, 1] = forecasts[partial][i, :k], forecasts[full][i, :k]
             weight_traces[name] = (steps, table)
         actuals = data.draw(arrays(np.float64, (n, horizon), elements=FLOATS))
         run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, {}, weight_traces)
