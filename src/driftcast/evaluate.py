@@ -519,12 +519,25 @@ class EvalReport:
     failure_counts: dict
 
 
+def _median(x: np.ndarray) -> float:
+    """The median of a non-empty 1-D array without NaN: its middle value,
+    or the two middle values' ``(a + b) / 2``, the sum and division that
+    ``np.median`` takes their mean with. That gives ``np.median``'s bits
+    without its NaN check, which imports ``numpy.ma``."""
+    k = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, k)[k])
+    s = np.partition(x, (k - 1, k))
+    return float((s[k - 1] + s[k]) / 2)
+
+
 def build_report(run: RunResult) -> EvalReport:
     """Score a campaign: RMSE/MAE per series, mean/median per method.
 
     Each method is scored over its whole (n_series x horizon) matrix at
     once, one score per row. A failed series holds a non-finite
-    forecast, so its score is not finite either."""
+    forecast, so its score is not finite either. The medians are
+    ``np.median``'s, bit for bit."""
     rmse_ps: dict[str, np.ndarray] = {}
     mae_ps: dict[str, np.ndarray] = {}
     summary: dict[str, dict] = {}
@@ -538,9 +551,9 @@ def build_report(run: RunResult) -> EvalReport:
         if ok.any():
             summary[name] = {
                 "mean_rmse": float(np.mean(r[ok])),
-                "median_rmse": float(np.median(r[ok])),
+                "median_rmse": _median(r[ok]),
                 "mean_mae": float(np.mean(m[ok])),
-                "median_mae": float(np.median(m[ok])),
+                "median_mae": _median(m[ok]),
             }
         else:
             summary[name] = dict.fromkeys(("mean_rmse", "median_rmse", "mean_mae", "median_mae"), float("nan"))

@@ -50,6 +50,10 @@ SIM_DRIFT_KINDS = ("sudden", "incremental", "gradual")
 DEFAULT_AR_COEFFS = (0.5, -0.3, 0.2)
 DEFAULT_AR_COEFFS_2 = (-0.3, 0.15, 0.05)
 
+# series simulated at a time: one block's AR trajectory array, burn-in
+# rows included, is all that ``make_dataset`` holds beside the dataset
+_SIM_BLOCK = 256
+
 
 def check_stationary(coeffs: Sequence[float]) -> None:
     """Reject AR coefficients whose characteristic roots touch the unit
@@ -230,19 +234,21 @@ def _ar_batch(
     return out.T
 
 
-def _batch_series(cfg: SimConfig, ordinals: Sequence[int]) -> tuple[list, np.ndarray, list]:
-    """Ids, values (one row per series) and drift metadata of series
-    ``ordinals`` of the dataset described by ``cfg``.
+def _batch_series(cfg: SimConfig, ordinals: Sequence[int], values: np.ndarray) -> list:
+    """Fill ``values``, one row per ordinal, with series ``ordinals`` of
+    the dataset described by ``cfg``, and return their drift metadata.
 
     Every draw stays per series, as in the scalar reference; only the
     two AR recursions (ts1 and ts2, which have different coefficients)
-    run across the batch.
+    run across the batch. ts1 goes straight into ``values``, and each
+    row is then spliced with its ts2, so only one trajectory array (with
+    its burn-in rows) is held beside ``values`` at a time.
     """
     seeds = [derive_series_seed(cfg.base_seed, i) for i in ordinals]
     p, k = len(cfg.ar_coeffs), len(seeds)
     sd, n, burn_in = cfg.noise_sd, cfg.series_length, cfg.burn_in
     ts1_seeds = [spawned_seed(s, _STREAM_TS1) for s in seeds]
-    ts1 = _ar_batch(cfg.ar_coeffs, sd, np.full((k, p), cfg.mean), ts1_seeds, np.full(k, cfg.mean), n, burn_in)
+    values[:] = _ar_batch(cfg.ar_coeffs, sd, np.full((k, p), cfg.mean), ts1_seeds, np.full(k, cfg.mean), n, burn_in)
     means_2 = [series_mean_2(cfg, s) for s in seeds]
     init_2 = [
         np.random.default_rng(spawned_seed(s, _STREAM_TS2_INIT)).normal(m, sd, size=p) for s, m in zip(seeds, means_2)
@@ -250,20 +256,24 @@ def _batch_series(cfg: SimConfig, ordinals: Sequence[int]) -> tuple[list, np.nda
     ts2_seeds = [spawned_seed(s, _STREAM_TS2) for s in seeds]
     ts2 = _ar_batch(cfg.ar_coeffs_2, sd, np.array(init_2), ts2_seeds, np.array(means_2), n, burn_in)
     drifts = [draw_drift_meta(cfg, s) for s in seeds]
-    values = np.empty((k, n))
     for j, meta in enumerate(drifts):
         if meta.kind == "sudden":
-            values[j] = combine_sudden(ts1[j], ts2[j], meta.t_drift)
+            values[j] = combine_sudden(values[j], ts2[j], meta.t_drift)
         elif meta.kind == "incremental":
-            values[j] = combine_incremental(ts1[j], ts2[j], meta.t_start, meta.t_end)
+            values[j] = combine_incremental(values[j], ts2[j], meta.t_start, meta.t_end)
         else:
-            values[j] = combine_gradual(ts1[j], ts2[j], meta.seed)
-    return [f"{cfg.drift_kind}_{i:04d}" for i in ordinals], values, drifts
+            values[j] = combine_gradual(values[j], ts2[j], meta.seed)
+    return drifts
 
 
 def make_dataset(cfg: SimConfig) -> Dataset:
     """Generate the full dataset for ``cfg``, named after its drift kind
-    and ordered by series ordinal."""
-    ids, values, drifts = _batch_series(cfg, range(cfg.n_series))
+    and ordered by series ordinal, ``_SIM_BLOCK`` series at a time."""
+    values = np.empty((cfg.n_series, cfg.series_length))
+    drifts = []
+    for start in range(0, cfg.n_series, _SIM_BLOCK):
+        stop = min(start + _SIM_BLOCK, cfg.n_series)
+        drifts += _batch_series(cfg, range(start, stop), values[start:stop])
     values.setflags(write=False)  # handed over to the Dataset, which keeps it
+    ids = [f"{cfg.drift_kind}_{i:04d}" for i in range(cfg.n_series)]
     return Dataset(cfg.drift_kind, ids, values, cfg.train_len, drifts, asdict(cfg))

@@ -51,8 +51,9 @@ def from_series(name: str, series: Sequence[TimeSeries], generator_config: Optio
 def make_series(cfg: SimConfig, ordinal: int) -> TimeSeries:
     """Series ``ordinal`` of the dataset described by ``cfg``, simulated
     in a batch of its own."""
-    (sid,), (values,), (drift,) = _batch_series(cfg, [ordinal])
-    return TimeSeries(id=sid, values=values, train_len=cfg.train_len, drift=drift)
+    values = np.empty((1, cfg.series_length))
+    (drift,) = _batch_series(cfg, [ordinal], values)
+    return TimeSeries(id=f"{cfg.drift_kind}_{ordinal:04d}", values=values[0], train_len=cfg.train_len, drift=drift)
 
 
 def rank_rows(errors: np.ndarray) -> np.ndarray:

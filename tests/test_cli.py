@@ -3,6 +3,9 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 from pathlib import Path
@@ -568,6 +571,26 @@ class TestRunCommand:
         path.write_bytes(bytes(range(256)) * (6 << 12))  # 6 MiB
         digest, peak = traced_peak(cli._sha256, path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest() and peak < 256 << 10
+
+    def test_run_and_report_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.median's NaN check imports numpy.ma; a fresh interpreter shows
+        # whether a command loads it, whatever this test process has loaded
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        out = tmp_path / "out"
+        script = "\n".join(
+            [
+                "import sys",
+                "from driftcast import cli",
+                f"assert cli.main(['run', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0",
+                f"assert cli.main(['report', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0",
+                "print('numpy.ma' in sys.modules)",
+            ]
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestMainExitCodes:

@@ -32,7 +32,7 @@ from driftcast.evaluate import (
 from driftcast.learners import ForecastModel, fit_ets, predict_one
 from driftcast.simulate import SimConfig, make_dataset
 from reference import from_series, mae, rmse
-from test_core import traced_peak, write_rows
+from test_core import bits, traced_peak, write_rows
 
 
 def tiny_dataset(kind="sudden", n_series=6, length=120, train_len=90, seed=2718):
@@ -996,14 +996,25 @@ class TestBuildReport:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_matches_scalar_oracles(self, data):
-        n, horizon = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 300))
+        # up to 40 series, odd and even counts, over at most ~1200 points per matrix
+        n = data.draw(st.integers(1, 40))
+        horizon = data.draw(st.integers(1, max(1, 1200 // n)))
         ids = [f"s{i}" for i in range(n)]
         actuals = data.draw(arrays(np.float64, (n, horizon), elements=st.floats(-1e6, 1e6)))
         predictions, failures = {}, {}
-        for name in data.draw(st.lists(st.sampled_from(ALL_METHODS), min_size=1, max_size=3, unique=True)):
+        names = data.draw(st.lists(st.sampled_from(ALL_METHODS), min_size=1, max_size=3, unique=True))
+        for name in names:
             # moderate forecasts with some edge values (NaN, +-inf, huge) among them
             values = st.floats(-1e6, 1e6) | st.sampled_from(EDGE_PREDICTIONS + (1e308, -1e308))
             predictions[name] = data.draw(arrays(np.float64, (n, horizon), elements=values))
+            # a shift of its own per series, so that sparse draws do not tie every score
+            predictions[name] += data.draw(arrays(np.float64, (n, 1), elements=st.floats(-1e3, 1e3), unique=True))
+        # series that repeat another's actuals and forecasts tie with it on every score
+        for i, j in data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, n - 1))).items():
+            actuals[i] = actuals[j]
+            for name in names:
+                predictions[name][i] = predictions[name][j]
+        for name in names:
             # a failed series keeps the forecasts made before its failure, then NaN
             failed = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, horizon - 1)))
             for i, since in failed.items():
@@ -1021,7 +1032,7 @@ class TestBuildReport:
                 assert report.failure_counts[name] == n - ok.sum()
                 expected = [np.mean(r[ok]), np.median(r[ok]), np.mean(m[ok]), np.median(m[ok])] if ok.any() else [np.nan] * 4
                 got = [report.summary[name][k] for k in ("mean_rmse", "median_rmse", "mean_mae", "median_mae")]
-                assert np.array_equal(got, expected, equal_nan=True), name
+                assert np.array_equal(bits(got), bits(expected)), name
 
 
 class TestTraceReader:

@@ -19,6 +19,7 @@ from driftcast.simulate import (
     make_dataset,
 )
 from reference import make_series
+from test_core import traced_peak
 
 
 # The scalar AR generator that the simulator ran once per trajectory
@@ -388,3 +389,26 @@ class TestBatchedSimulator:
         monkeypatch.setattr(simulate, "check_stationary", lambda c: checked.append(c) or real(c))
         make_dataset(cfg)
         assert checked == [cfg.ar_coeffs, cfg.ar_coeffs_2]
+
+
+class TestSimulationBlocks:
+    """make_dataset simulates ``_SIM_BLOCK`` series at a time, straight
+    into the dataset's array; blocks change neither rows nor memory."""
+
+    def test_holds_one_trajectory_block_beside_the_values(self):
+        cfg = small_cfg("sudden", n_series=600, series_length=300, train_len=250)
+        assert cfg.n_series > simulate._SIM_BLOCK
+        make_dataset(small_cfg("sudden", n_series=1))  # numpy.random loads on first use, outside the trace
+        ds, peak = traced_peak(make_dataset, cfg)
+        assert peak < 2 * ds.values.nbytes
+
+    def test_rows_across_a_block_boundary_match_the_references(self):
+        block = simulate._SIM_BLOCK
+        cfg = small_cfg("incremental", n_series=block + 2, series_length=20, train_len=15, burn_in=5, mean_2=1.0, mean_2_high=3.0)
+        ds = make_dataset(cfg)
+        for i in range(block - 2, block + 2):
+            alone = make_series(cfg, i)
+            values, meta = scalar_series(cfg, i)
+            assert np.array_equal(bits(ds.values[i]), bits(alone.values))
+            assert np.array_equal(bits(ds.values[i]), bits(values))
+            assert (ds.ids[i], ds.drifts[i]) == (alone.id, alone.drift) == (f"incremental_{i:04d}", meta)
