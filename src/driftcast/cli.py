@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -39,6 +38,7 @@ from driftcast.core import (
     Dataset,
     DriftcastError,
     SeriesIndex,
+    Spans,
     csv_field,
     csv_rows,
     format_floats,
@@ -324,15 +324,18 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict[str, tuple[int, int]]:
     return shapes
 
 
-def _load_or_simulate(sim: SimConfig, out_dir: Path) -> Dataset:
+def _load_or_simulate(sim: SimConfig, out_dir: Path, spans: Spans) -> Dataset:
     """One kind's dataset: the one on disk when its sidecar says it was
     generated from ``sim``, otherwise a new one, written over it. The
-    CSV is read only when the sidecar's config matches."""
+    CSV is read only when the sidecar's config matches. ``spans`` times
+    the load or the simulation."""
     csv_path, meta_path = dataset_paths(out_dir, sim.drift_kind)
     if csv_path.exists() and meta_path.exists():
         if read_sidecar(csv_path)["generator_config"] == json.loads(json.dumps(asdict(sim))):
-            return load_dataset(csv_path)
-    return _simulate(sim, out_dir)
+            with spans("load_dataset"):
+                return load_dataset(csv_path)
+    with spans("simulate"):
+        return _simulate(sim, out_dir)
 
 
 @dataclass
@@ -369,37 +372,43 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
     """Full campaign, one drift kind at a time: load or simulate the
     kind's dataset, evaluate every method, write its traces and score
     it; then write the reports and the manifest. Returns per-kind
-    results keyed by drift kind."""
+    results keyed by drift kind.
+
+    Each phase is timed as a span (:class:`Spans`), summed over the
+    kinds. The four phases of ``timings_seconds`` hold the others:
+    ``datasets`` holds ``load_dataset`` or ``simulate``; ``evaluate``
+    the engine's phases and ``scoring``; ``traces`` holds
+    ``write_traces`` and ``reports`` holds ``rendering``, and each
+    ``hashing`` of the files it wrote."""
     if not cfg.sim_configs:
         raise ConfigError("config has no simulate section")
     (out_dir / "traces").mkdir(parents=True, exist_ok=True)
-    # each phase's seconds, summed over the kinds
-    timings = dict.fromkeys(("datasets", "evaluate", "traces", "reports"), 0.0)
+    spans = Spans()
     results: dict[str, KindResults] = {}
     files: list[dict] = []
     for kind, sim in cfg.sim_configs.items():
-        t0 = time.perf_counter()
-        dataset = _load_or_simulate(sim, out_dir)
-        t_sim = time.perf_counter()
-        run = prequential_run(dataset, cfg.eval_config, capture_weights=cfg.weight_traces)
-        results[kind] = score_kind(dataset.index, run, cfg.alpha)
-        t_eval = time.perf_counter()
-        written = [write_traces(out_dir / "traces" / f"{kind}.csv", run)]
-        if cfg.weight_traces and run.weight_traces:
-            written.extend(write_weight_traces(out_dir / "traces", kind, run))
-        files.extend(_inventory(out_dir, written))
-        del run, dataset  # free this kind's values and forecasts before the next kind's
-        t_traces = time.perf_counter()
-        timings["datasets"] += t_sim - t0
-        timings["evaluate"] += t_eval - t_sim
-        timings["traces"] += t_traces - t_eval
+        with spans("datasets"):
+            dataset = _load_or_simulate(sim, out_dir, spans)
+        with spans("evaluate"):
+            run = prequential_run(dataset, cfg.eval_config, capture_weights=cfg.weight_traces, spans=spans)
+            with spans("scoring"):
+                results[kind] = score_kind(dataset.index, run, cfg.alpha)
+        with spans("traces"):
+            with spans("write_traces"):
+                written = [write_traces(out_dir / "traces" / f"{kind}.csv", run)]
+                if cfg.weight_traces and run.weight_traces:
+                    written.extend(write_weight_traces(out_dir / "traces", kind, run))
+            with spans("hashing"):
+                files.extend(_inventory(out_dir, written))
+            del run, dataset  # free this kind's values and forecasts before the next kind's
 
-    t0 = time.perf_counter()
-    report_files = render_reports(cfg, out_dir, results)
-    for kind in results:
-        report_files.extend(dataset_paths(out_dir, kind))
-    files.extend(_inventory(out_dir, report_files))
-    timings["reports"] = time.perf_counter() - t0
+    with spans("reports"):
+        with spans("rendering"):
+            report_files = render_reports(cfg, out_dir, results)
+        for kind in results:
+            report_files.extend(dataset_paths(out_dir, kind))
+        with spans("hashing"):
+            files.extend(_inventory(out_dir, report_files))
 
     manifest = {
         "config_hash": config_hash(cfg.document),
@@ -408,7 +417,8 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "timings_seconds": {phase: round(seconds, 3) for phase, seconds in timings.items()},
+        "timings_seconds": {phase: round(spans.phases[phase][0], 3) for phase in ("datasets", "evaluate", "traces", "reports")},
+        "phases": spans.to_dict(),
         "failure_fractions": {
             kind: {
                 name: res.report.failure_counts[name] / len(res.report.series_ids)

@@ -22,7 +22,9 @@ import csv
 import io
 import json
 import re
+import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -44,6 +46,31 @@ class ConfigError(DriftcastError):
 
 class FitError(DriftcastError):
     """A model fit could not be completed (degenerate data, etc.)."""
+
+
+class Spans:
+    """Seconds and calls per phase name: each ``with spans(name):`` block
+    adds its wall time, by ``time.perf_counter``, and one call to
+    ``name``. Blocks may nest, and a block's time includes that of the
+    blocks inside it. Phases keep the order of their first start."""
+
+    def __init__(self) -> None:
+        self.phases: dict[str, list] = {}  # name -> [seconds, calls]
+
+    @contextmanager
+    def __call__(self, name: str) -> Iterator[None]:
+        entry = self.phases.setdefault(name, [0.0, 0])
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            entry[0] += time.perf_counter() - start
+            entry[1] += 1
+
+    def to_dict(self) -> dict:
+        """``{name: {"seconds": s, "calls": n}}``, seconds rounded to the
+        microsecond."""
+        return {name: {"seconds": round(seconds, 6), "calls": calls} for name, (seconds, calls) in self.phases.items()}
 
 
 def derive_series_seed(base_seed: int, series_ordinal: int) -> int:
@@ -185,7 +212,10 @@ class Dataset:
     ``train_len``. ``generator_config`` is a plain-dict snapshot of the
     simulation config (or None for externally loaded data). ``index``
     is all of it but the values: the :class:`SeriesIndex` that checked
-    it when the dataset was built.
+    it when the dataset was built. A builder that has checked them
+    already (:func:`load_dataset`) hands its index over, and the checks
+    do not run again; it must describe these ids, length, ``train_len``
+    and drifts.
 
     ``values`` given as a read-only float64 array that owns its memory
     is kept, not copied: its builder hands it over and must not make it
@@ -199,7 +229,7 @@ class Dataset:
     train_len: int
     drifts: tuple
     generator_config: Optional[dict] = None
-    index: SeriesIndex = field(init=False, compare=False, repr=False)
+    index: Optional[SeriesIndex] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ids, values, drifts = tuple(self.ids), self.values, tuple(self.drifts)
@@ -210,7 +240,11 @@ class Dataset:
             values = np.array(values, dtype=np.float64)
         if values.ndim != 2 or values.size == 0 or not len(ids) == len(values) == len(drifts):
             raise ConfigError("a dataset needs a non-empty (n_series, length) array, an id and a drift per row")
-        index = SeriesIndex(ids, values.shape[1], self.train_len, drifts)
+        index = self.index
+        if index is None:
+            index = SeriesIndex(ids, values.shape[1], self.train_len, drifts)
+        elif (index.ids, index.series_length, index.train_len, index.drifts) != (ids, values.shape[1], self.train_len, drifts):
+            raise ConfigError("the index handed to a dataset describes other series")
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise ConfigError(f"series {ids[np.argmin(finite)]!r} contains non-finite values")
@@ -452,7 +486,7 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     if short.size:
         raise ConfigError(f"series {ids[short[0]]!r} holds {filled[short[0]]} of {length} positions in {csv_path}")
     values.setflags(write=False)  # handed over to the Dataset, which keeps it
-    return Dataset(meta["name"], ids, values, index.train_len, index.drifts, meta["generator_config"])
+    return Dataset(meta["name"], ids, values, index.train_len, index.drifts, meta["generator_config"], index)
 
 
 def spawned_seed(seed: int, stream: int) -> int:

@@ -54,6 +54,7 @@ from driftcast.core import (
     Dataset,
     FitError,
     SeriesIndex,
+    Spans,
     csv_field,
     csv_rows,
     format_floats,
@@ -356,12 +357,16 @@ class _CombinerBank:
         return np.stack([self.y_partial, self.y_all, self.w_p, self.w_a, self.pred], axis=-1)
 
 
-def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool) -> tuple:
+def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool, spans: Spans) -> tuple:
     """Run every configured method over the horizon of every series of
     ``dataset``, all series together, one block at a time. Returns
     predictions and fit counts per method, failure messages per
     method keyed by row, and, with ``capture_weights``, each combiner's
-    weight traces as :attr:`RunResult.weight_traces` holds them."""
+    weight traces as :attr:`RunResult.weight_traces` holds them.
+
+    ``spans`` times the block-level phases: ``pooled_fits``,
+    ``local_ar_fits``, ``ets_grid``, ``forecasts`` (AR and ETS, global
+    and local) and ``combiner_steps``."""
     values, train_len = dataset.values, dataset.train_len
     n = len(dataset)
     V = values.T  # V[t]: every series' value at position t; a view, not a copy, of the dataset
@@ -393,21 +398,23 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool) ->
     def local_ar(m: MethodSpec, start: int, stop: int):
         record = METHODS[m.name]
         coef, intercept = np.zeros((n, record.lags)), np.zeros(n)
-        for i in np.flatnonzero(ok[m.name]):
-            try:
-                model = fit_local_ar(values[i, :start], record.lags, record.window)
-            except FitError as exc:
-                fail(m.name, i == np.arange(n), str(exc))
-                continue
-            coef[i], intercept[i] = model.coef, model.intercept
+        with spans("local_ar_fits"):
+            for i in np.flatnonzero(ok[m.name]):
+                try:
+                    model = fit_local_ar(values[i, :start], record.lags, record.window)
+                except FitError as exc:
+                    fail(m.name, i == np.arange(n), str(exc))
+                    continue
+                coef[i], intercept[i] = model.coef, model.intercept
         return lambda: _ar_forecasts(V, start, stop, coef, intercept)
 
     def ets(m: MethodSpec, start: int, stop: int):
         first = start - ets_window(METHODS[m.name].window, start)
-        grid = carried.get(m.name)
-        if grid is None or grid.first != first:
-            grid = carried[m.name] = _EtsGrid(V, first)
-        level, alpha = grid.fit(V, start)
+        with spans("ets_grid"):
+            grid = carried.get(m.name)
+            if grid is None or grid.first != first:
+                grid = carried[m.name] = _EtsGrid(V, first)
+            level, alpha = grid.fit(V, start)
         return lambda: _ets_forecasts(V, start, stop, level, alpha)
 
     def global_ar(m: MethodSpec, start: int, stop: int):
@@ -449,14 +456,17 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool) ->
     with np.errstate(all="ignore"):
         for start in range(train_len, train_len + cfg.horizon, cfg.block_size):
             stop = start + cfg.block_size
-            block_globals = {}  # per global model: its forecasts of the block, or its fit's FitError
-            for g, spec in global_specs.items():
-                try:
-                    model = fit_global_ar(dataset, start, spec)
-                except FitError as exc:
-                    block_globals[g] = exc
-                else:
-                    block_globals[g] = _ar_forecasts(V, start, stop, model.coef, model.intercept)
+            block_globals = {}  # per global model: its fit, then its forecasts of the block; or its fit's FitError
+            with spans("pooled_fits"):
+                for g, spec in global_specs.items():
+                    try:
+                        block_globals[g] = fit_global_ar(dataset, start, spec)
+                    except FitError as exc:
+                        block_globals[g] = exc
+            with spans("forecasts"):
+                for g, model in block_globals.items():
+                    if not isinstance(model, FitError):
+                        block_globals[g] = _ar_forecasts(V, start, stop, model.coef, model.intercept)
             for m in cfg.methods:
                 name = m.name
                 if not ok[name].any():
@@ -469,26 +479,30 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool) ->
                 if not ok[name].any():  # every series' fit failed
                     continue
                 fit_counts[name][ok[name]] += 1
-                forecasts = forecast()
-                preds[name][:, start - train_len : stop - train_len] = np.where(ok[name], forecasts, np.nan).T
+                with spans("combiner_steps" if METHODS[name].family in ("ecw", "gdw") else "forecasts"):
+                    forecasts = forecast()
+                    preds[name][:, start - train_len : stop - train_len] = np.where(ok[name], forecasts, np.nan).T
 
     return preds, fit_counts, failed, weights
 
 
-def prequential_run(dataset: Dataset, cfg: EvalConfig, capture_weights: bool = False) -> RunResult:
+def prequential_run(
+    dataset: Dataset, cfg: EvalConfig, capture_weights: bool = False, spans: Optional[Spans] = None
+) -> RunResult:
     """Run the full campaign over one dataset, all series in one batch.
 
     Any fit failure marks the (series, method) pair as failed and is
     surfaced in the result rather than silently skipped.
     ``capture_weights`` additionally records the combiners' per-step
-    weight trajectories.
+    weight trajectories, and ``spans``, when given, times the engine's
+    block-level phases.
     """
     if dataset.train_len + cfg.horizon > dataset.series_length:
         raise ConfigError(
             f"series of length {dataset.series_length} cannot host train_len "
             f"{dataset.train_len} plus horizon {cfg.horizon}"
         )
-    predictions, fit_counts, failed, weights = _evaluate_batch(dataset, cfg, capture_weights)
+    predictions, fit_counts, failed, weights = _evaluate_batch(dataset, cfg, capture_weights, spans or Spans())
     series_ids = dataset.ids
     return RunResult(
         series_ids=series_ids,
@@ -536,16 +550,18 @@ def build_report(run: RunResult) -> EvalReport:
 
     Each method is scored over its whole (n_series x horizon) matrix at
     once, one score per row. A failed series holds a non-finite
-    forecast, so its score is not finite either. The medians are
-    ``np.median``'s, bit for bit."""
+    forecast, so its score is not finite either; so does a series whose
+    errors overflow when squared, which counts as failed without a
+    warning. The medians are ``np.median``'s, bit for bit."""
     rmse_ps: dict[str, np.ndarray] = {}
     mae_ps: dict[str, np.ndarray] = {}
     summary: dict[str, dict] = {}
     failure_counts: dict[str, int] = {}
     for name in run.methods:
-        error = run.predictions[name] - run.actuals
-        rmse_ps[name] = r = np.sqrt(np.mean(error**2, axis=1))
-        mae_ps[name] = m = np.mean(np.abs(error), axis=1)
+        with np.errstate(all="ignore"):
+            error = run.predictions[name] - run.actuals
+            rmse_ps[name] = r = np.sqrt(np.mean(error**2, axis=1))
+            mae_ps[name] = m = np.mean(np.abs(error), axis=1)
         ok = np.isfinite(r)
         failure_counts[name] = int(np.sum(~ok))
         if ok.any():

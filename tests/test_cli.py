@@ -250,6 +250,39 @@ class TestRunCommand:
             digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
 
+    def test_manifest_spans_the_phases_per_block(self, tmp_path):
+        methods = [{"name": name} for name in ("AR3_All", "ETS_All", "Plain_All", "GDW")]
+        cfg = validate_config(tiny_document(methods=methods))
+        out = tmp_path / "run"
+        kinds, blocks = 2, 3  # each kind's horizon of 30 in blocks of 10
+        for load in ("simulate", "load_dataset"):  # the second run reuses the datasets on disk
+            cmd_run(cfg, out)
+            manifest = json.loads((out / "manifest.json").read_text())
+            phases = manifest["phases"]
+            # one span per block and phase, never one per step
+            assert {name: entry["calls"] for name, entry in phases.items()} == {
+                "datasets": kinds,
+                load: kinds,
+                "evaluate": kinds,
+                "pooled_fits": kinds * blocks,
+                "forecasts": kinds * blocks * 4,  # the pooled models', AR3_All's, ETS_All's and Plain_All's
+                "local_ar_fits": kinds * blocks,
+                "ets_grid": kinds * blocks,
+                "combiner_steps": kinds * blocks,
+                "scoring": kinds,
+                "traces": kinds,
+                "write_traces": kinds,
+                "hashing": kinds + 1,
+                "reports": 1,
+                "rendering": 1,
+            }
+            assert all(entry["seconds"] >= 0 for entry in phases.values())
+            # the four outer phases hold the others
+            for outer, inner in (("evaluate", ("pooled_fits", "local_ar_fits", "ets_grid", "scoring")), ("reports", ("rendering",))):
+                assert phases[outer]["seconds"] >= sum(phases[name]["seconds"] for name in inner)
+            timings = manifest["timings_seconds"]
+            assert timings == {phase: pytest.approx(phases[phase]["seconds"], abs=1e-3) for phase in timings}
+
     def test_rerun_reuses_datasets_and_reproduces_reports(self, tmp_path):
         cfg = validate_config(tiny_document())
         out1, out2 = tmp_path / "a", tmp_path / "b"

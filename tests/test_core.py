@@ -18,6 +18,7 @@ from driftcast.core import (
     Dataset,
     DriftMeta,
     SeriesIndex,
+    Spans,
     TimeSeries,
     derive_series_seed,
     load_dataset,
@@ -106,6 +107,20 @@ def make_series(sid="s0", n=30, train_len=20, kind="none", **drift):
         train_len=train_len,
         drift=DriftMeta(kind=kind, **drift),
     )
+
+
+class TestSpans:
+    def test_sums_seconds_and_calls_per_name(self, monkeypatch):
+        clock = iter([0.0, 1.0, 1.5, 4.0, 10.0, 10.25])
+        monkeypatch.setattr(core.time, "perf_counter", lambda: next(clock))
+        spans = Spans()
+        with spans("outer"):
+            with spans("inner"):
+                pass
+        with pytest.raises(ValueError):
+            with spans("inner"):  # a block that raises is timed too
+                raise ValueError
+        assert spans.to_dict() == {"outer": {"seconds": 4.0, "calls": 1}, "inner": {"seconds": 0.75, "calls": 2}}
 
 
 class TestSeedDerivation:
@@ -221,6 +236,22 @@ class TestDataset:
         ds = Dataset("d", ["a", "b"], np.ones((2, 5)), 3, [DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4)])
         assert len(built) == 1 and ds.index is built[0] and ds.index is ds.index
         assert ds.index == SeriesIndex(ds.ids, ds.series_length, ds.train_len, ds.drifts)
+
+    def test_index_handed_over_is_kept_unchecked(self, monkeypatch, tmp_path):
+        drifts = [DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4)]
+        index = SeriesIndex(("a", "b"), 5, 3, drifts)
+        save_dataset(Dataset("d", index.ids, np.ones((2, 5)), 3, drifts), tmp_path / "d.csv")
+        built = []
+        check = SeriesIndex.__post_init__
+        monkeypatch.setattr(SeriesIndex, "__post_init__", lambda index: built.append(index) or check(index))
+        assert Dataset("d", index.ids, np.ones((2, 5)), 3, index.drifts, None, index).index is index
+        assert built == []
+        # load_dataset checks the sidecar's index once and hands it over
+        assert load_dataset(tmp_path / "d.csv").index is built[0] and len(built) == 1
+        for change in ({"ids": ("b", "a")}, {"values": np.ones((2, 6))}, {"train_len": 2}, {"drifts": drifts[::-1]}):
+            fields = dict(dict(ids=index.ids, values=np.ones((2, 5)), train_len=3, drifts=index.drifts), **change)
+            with pytest.raises(ConfigError, match="describes other series"):
+                Dataset("d", **fields, index=index)
 
     def test_values_copied(self):
         values = np.ones((2, 5))

@@ -993,6 +993,17 @@ class TestBuildReport:
         errors = [0.4, 1.9, 0.2, 5.5, 3.1]
         assert summary_of(errors) == summary_of(errors[::-1])
 
+    def test_overflowing_errors_fail_without_a_warning(self):
+        # a diverging combiner's errors can be finite yet overflow when squared
+        predictions = {"GDW": np.array([[1e200, 1.0], [-3e307, 3e307], [0.5, -0.5]])}
+        run = hand_made_run(["a", "b", "c"], 10, np.zeros((3, 2)), predictions)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = build_report(run)
+        assert report.failure_counts == {"GDW": 2}
+        assert np.array_equal(report.rmse_per_series["GDW"], [np.inf, np.inf, 0.5])
+        assert report.summary["GDW"] == {"mean_rmse": 0.5, "median_rmse": 0.5, "mean_mae": 0.5, "median_mae": 0.5}
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_matches_scalar_oracles(self, data):
