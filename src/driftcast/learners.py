@@ -14,12 +14,17 @@ Three families, each trainable on the full history or the most recent
 
 Recency weighting (see :mod:`driftcast.weighting`) enters the global
 learner as per-row loss weights; local benchmarks are unweighted.
-Both AR families build their design rows ``[lag 1 ... lag p, 1]`` with
-one helper, ``_design_rows``, from one contiguous slice per lag.
+The local AR fit builds its design rows ``[lag 1 ... lag p, 1]`` with
+``_design_rows``, from one contiguous slice per lag. The pooled fit
+builds no rows: every series shares its rows' weights, so its normal
+equations are weighted sums along time of one table of cross-series
+lag products, built once per dataset (``lag_products``). They agree
+with the row-by-row system to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,6 +41,11 @@ DEFAULT_GLOBAL_LAGS = 10
 DEFAULT_RIDGE_LAMBDA = 1e-3
 
 ETS_ALPHA_GRID = np.arange(1, 100) / 100.0
+
+# a pooled system whose 1-norm condition number exceeds this is singular
+# to working precision: its coefficients are mostly rounding, and two
+# summation orders of the same rows disagree on them
+MAX_POOLED_CONDITION = 1e12
 
 
 def resolve_window(window: str, available: int) -> int:
@@ -94,6 +104,44 @@ def _design_rows(values: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
     return values[first:]
 
 
+# positions per block of ``_lag_table``: its products of a block are one
+# (n_series, _TABLE_BLOCK) temporary
+_TABLE_BLOCK = 64
+
+_lag_tables: dict = {}  # id(dataset) -> {p: its lag-product table}, dropped with the dataset
+
+
+def _lag_table(values: np.ndarray, p: int) -> np.ndarray:
+    """The (length, p + 3) sums across the series (rows) of ``values``
+    that every pooled fit of lag order ``p`` is built from: at position
+    t, column d <= p holds sum_i v_i[t] * v_i[t - d] (0 where t < d),
+    column p + 1 sum_i v_i[t], and column p + 2 the number of series.
+    Each sum runs over the series in dataset order."""
+    n, length = values.shape
+    table = np.zeros((length, p + 3))
+    table[:, p + 2] = n
+    for lo in range(0, length, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, length)
+        table[lo:hi, p + 1] = values[:, lo:hi].sum(axis=0)
+        for d in range(min(p, hi - 1) + 1):
+            first = max(lo, d)
+            table[first:hi, d] = (values[:, first:hi] * values[:, first - d : hi - d]).sum(axis=0)
+    return table
+
+
+def lag_products(dataset: Dataset, p: int) -> np.ndarray:
+    """``dataset``'s lag-product table of order ``p`` (``_lag_table``),
+    built on first use and kept until the dataset is freed. Its values
+    are read-only, so the table never goes stale."""
+    tables = _lag_tables.get(id(dataset))
+    if tables is None:
+        tables = _lag_tables[id(dataset)] = {}
+        weakref.finalize(dataset, _lag_tables.pop, id(dataset), None)
+    if p not in tables:
+        tables[p] = _lag_table(dataset.values, p)
+    return tables[p]
+
+
 def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> ForecastModel:
     """Pooled weighted autoregressive ridge fit across all series.
 
@@ -103,7 +151,17 @@ def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> Fo
     back. Every series has the same rows, so one weighting schedule,
     oldest row lowest, is computed per fit and shared by all series;
     with literal value scaling it scales each series' window instead.
-    Deterministic: series are accumulated in dataset order.
+
+    Every series also shares the rows' loss weights and value scaling,
+    so each entry of the normal equations X'WX and X'Wy is a weighted
+    sum along t of one column of the dataset's lag-product table
+    (``lag_products``), built once per dataset and lag order: the entry
+    of lags j and k is sum_t w[t] * P[t - j, k - j], and with literal
+    value scaling s the products enter as s[t - j] * s[t - k] *
+    P[t - j, k - j]. A fit reads the table only before
+    ``train_through``. The sums run in another order than the
+    row-by-row system's, so the coefficients agree with it to rounding,
+    not bit for bit.
     """
     p = spec.p
     if train_through < p + 1:
@@ -123,23 +181,30 @@ def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> Fo
     rows = train_through - start - first
     if rows <= 0:  # every series has these rows: the first one names the failure
         raise FitError(f"series {dataset.ids[0]!r} contributes no rows")
-    w = np.ones(rows) if literal else weight_schedule(spec.weighting, rows)
+    table = lag_products(dataset, p)[start:train_through]
+    if literal:
+        w = np.ones(rows)
+        table = table.copy()
+        for lag in range(p + 1):
+            table[lag:, lag] *= scale[lag:] * scale[: window_len - lag]
+        table[:, p + 1] *= scale
+    else:
+        w = weight_schedule(spec.weighting, rows)
+    # row j: the weighted sum of each table column over the rows' lag-j
+    # positions (lag 0: the targets)
+    sums = np.stack([w @ table[first - j : first - j + rows] for j in range(p + 1)])
     d = p + 1
-    A = np.zeros((d, d))
-    rhs = np.zeros(d)
-    Xa = np.empty((rows, d))
-    wX = np.empty((rows, d))
-    for values in dataset.values[:, start:train_through]:
-        if literal:
-            values = values * scale
-        y = _design_rows(values, first, Xa)
-        # a separate wX also under unit weights: numpy computes Xa.T @ Xa
-        # with syrk, whose bits differ from this gemm's
-        np.multiply(Xa, w[:, None], out=wX)
-        A += Xa.T @ wX
-        rhs += wX.T @ y
+    gram = np.zeros((d + 1, d + 1))  # of [target, lag 1 ... lag p, 1], upper triangle first
+    for j in range(d):
+        gram[j, j:d] = sums[j, : d - j]
+        gram[j, d] = sums[j, d]
+    gram[d, d] = sums[0, d + 1]
+    gram += np.triu(gram, 1).T
+    A, rhs = gram[1:, 1:], gram[1:, 0]
     A[np.arange(p), np.arange(p)] += spec.ridge_lambda
     try:
+        if np.linalg.cond(A, 1) > MAX_POOLED_CONDITION:
+            raise np.linalg.LinAlgError("Singular matrix")
         beta = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"singular pooled system: {exc}") from exc

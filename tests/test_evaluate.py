@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftcast import core, evaluate
+from driftcast import core, evaluate, learners
 from driftcast.combine import DEFAULT_PAIRINGS, PairingEnsemble
 from driftcast.core import ConfigError, DriftcastError, DriftMeta, FitError, SeriesIndex, TimeSeries
 from driftcast.evaluate import (
@@ -353,6 +353,16 @@ class TestBatchEngine:
         cfg = EvalConfig(horizon=40, block_size=10, methods=methods, literal_value_scaling=literal_value_scaling)
         run = prequential_run(ds, cfg, capture_weights=True)
         assert_matches_replay(run, ds, cfg)
+
+    def test_run_builds_one_lag_product_table_per_dataset(self, monkeypatch):
+        built = []
+        real = learners._lag_table
+        monkeypatch.setattr(learners, "_lag_table", lambda values, p: built.append(values.shape) or real(values, p))
+        cfg = EvalConfig(horizon=40, block_size=10, methods=specs(*ALL_METHODS))
+        # four blocks, each fitting the six pooled models
+        for ds in (tiny_dataset(n_series=5, length=240, train_len=200), tiny_dataset(n_series=3, length=250, train_len=210, seed=1)):
+            prequential_run(ds, cfg)
+        assert built == [(5, 240), (3, 250)]
 
     def test_failed_local_fit_keeps_earlier_forecasts(self, monkeypatch):
         ds = tiny_dataset(n_series=4)
