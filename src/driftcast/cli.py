@@ -376,10 +376,10 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
 
     Each phase is timed as a span (:class:`Spans`), summed over the
     kinds. The four phases of ``timings_seconds`` hold the others:
-    ``datasets`` holds ``load_dataset`` or ``simulate``; ``evaluate``
-    the engine's phases and ``scoring``; ``traces`` holds
-    ``write_traces`` and ``reports`` holds ``rendering``, and each
-    ``hashing`` of the files it wrote."""
+    ``datasets`` holds ``load_dataset`` or ``simulate``, ``evaluate``
+    the engine's phases and ``scoring``, ``traces`` ``write_traces``
+    and ``reports`` ``rendering``; the last two also hold the
+    ``hashing`` of the files they wrote."""
     if not cfg.sim_configs:
         raise ConfigError("config has no simulate section")
     (out_dir / "traces").mkdir(parents=True, exist_ok=True)

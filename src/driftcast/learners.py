@@ -18,7 +18,7 @@ The local AR fit builds its design rows ``[lag 1 ... lag p, 1]`` with
 ``_design_rows``, from one contiguous slice per lag. The pooled fit
 builds no rows: every series shares its rows' weights, so its normal
 equations are weighted sums along time of one table of cross-series
-lag products, built once per dataset (``lag_products``). They agree
+lag products, built once per dataset (``_lag_products``). They agree
 with the row-by-row system to rounding, not bit for bit.
 """
 
@@ -129,7 +129,7 @@ def _lag_table(values: np.ndarray, p: int) -> np.ndarray:
     return table
 
 
-def lag_products(dataset: Dataset, p: int) -> np.ndarray:
+def _lag_products(dataset: Dataset, p: int) -> np.ndarray:
     """``dataset``'s lag-product table of order ``p`` (``_lag_table``),
     built on first use and kept until the dataset is freed. Its values
     are read-only, so the table never goes stale."""
@@ -155,7 +155,7 @@ def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> Fo
     Every series also shares the rows' loss weights and value scaling,
     so each entry of the normal equations X'WX and X'Wy is a weighted
     sum along t of one column of the dataset's lag-product table
-    (``lag_products``), built once per dataset and lag order: the entry
+    (``_lag_products``), built once per dataset and lag order: the entry
     of lags j and k is sum_t w[t] * P[t - j, k - j], and with literal
     value scaling s the products enter as s[t - j] * s[t - k] *
     P[t - j, k - j]. A fit reads the table only before
@@ -181,7 +181,7 @@ def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> Fo
     rows = train_through - start - first
     if rows <= 0:  # every series has these rows: the first one names the failure
         raise FitError(f"series {dataset.ids[0]!r} contributes no rows")
-    table = lag_products(dataset, p)[start:train_through]
+    table = _lag_products(dataset, p)[start:train_through]
     if literal:
         w = np.ones(rows)
         table = table.copy()
