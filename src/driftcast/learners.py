@@ -42,11 +42,6 @@ DEFAULT_RIDGE_LAMBDA = 1e-3
 
 ETS_ALPHA_GRID = np.arange(1, 100) / 100.0
 
-# a pooled system whose 1-norm condition number exceeds this is singular
-# to working precision: its coefficients are mostly rounding, and two
-# summation orders of the same rows disagree on them
-MAX_POOLED_CONDITION = 1e12
-
 
 def resolve_window(window: str, available: int) -> int:
     """Concrete training-window length for a window spec."""
@@ -112,14 +107,13 @@ _lag_tables: dict = {}  # id(dataset) -> {p: its lag-product table}, dropped wit
 
 
 def _lag_table(values: np.ndarray, p: int) -> np.ndarray:
-    """The (length, p + 3) sums across the series (rows) of ``values``
+    """The (length, p + 2) sums across the series (rows) of ``values``
     that every pooled fit of lag order ``p`` is built from: at position
     t, column d <= p holds sum_i v_i[t] * v_i[t - d] (0 where t < d),
-    column p + 1 sum_i v_i[t], and column p + 2 the number of series.
-    Each sum runs over the series in dataset order."""
-    n, length = values.shape
-    table = np.zeros((length, p + 3))
-    table[:, p + 2] = n
+    and column p + 1 sum_i v_i[t]. Each sum runs over the series in
+    dataset order."""
+    length = values.shape[1]
+    table = np.zeros((length, p + 2))
     for lo in range(0, length, _TABLE_BLOCK):
         hi = min(lo + _TABLE_BLOCK, length)
         table[lo:hi, p + 1] = values[:, lo:hi].sum(axis=0)
@@ -198,13 +192,11 @@ def fit_global_ar(dataset: Dataset, train_through: int, spec: LearnerSpec) -> Fo
     for j in range(d):
         gram[j, j:d] = sums[j, : d - j]
         gram[j, d] = sums[j, d]
-    gram[d, d] = sums[0, d + 1]
+    gram[d, d] = len(dataset) * w.sum()
     gram += np.triu(gram, 1).T
     A, rhs = gram[1:, 1:], gram[1:, 0]
     A[np.arange(p), np.arange(p)] += spec.ridge_lambda
     try:
-        if np.linalg.cond(A, 1) > MAX_POOLED_CONDITION:
-            raise np.linalg.LinAlgError("Singular matrix")
         beta = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"singular pooled system: {exc}") from exc
