@@ -31,18 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from driftcast.core import DriftcastError
-
-DEFAULT_ETA = 0.01
-
-NON_FINITE_RSS = "rss_point requires finite inputs"
-
-# (partial-model weighting, all-model weighting)
-DEFAULT_PAIRINGS = (
-    ("exponential", "exponential"),
-    ("exponential", "linear"),
-    ("linear", "exponential"),
-    ("linear", "linear"),
-)
+from driftcast.evaluate import DEFAULT_ETA, DEFAULT_PAIRINGS, NON_FINITE_RSS
 
 
 def rss_point(y: float, y_hat: float) -> float:

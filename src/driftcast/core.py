@@ -154,8 +154,8 @@ class TimeSeries:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ConfigError("values must be a non-empty 1-D sequence")
-        dataset = Dataset("", [self.id], [values], self.train_len, [self.drift])
-        object.__setattr__(self, "values", dataset.values[0])
+        index = SeriesIndex([self.id], len(values), self.train_len, [self.drift])
+        object.__setattr__(self, "values", Dataset("", index, [values]).values[0])
 
     def __len__(self) -> int:
         return len(self.values)
@@ -168,10 +168,9 @@ class SeriesIndex:
     every series has ``series_length`` positions, the first
     ``train_len`` of them for training.
 
-    Checked when built: ids unique and free of ``\\r``, ``train_len``
-    and every drift index in [1, series_length]. A :class:`Dataset`
-    keeps the index that checked it, and both answer ``ids``,
-    ``drifts`` and ``train_len`` alike.
+    Checked when built: one drift per id, ids unique and free of
+    ``\\r``, ``train_len`` and every drift index in [1, series_length].
+    A :class:`Dataset` is its index plus its values.
     """
 
     ids: tuple
@@ -181,6 +180,8 @@ class SeriesIndex:
 
     def __post_init__(self) -> None:
         ids, drifts = tuple(self.ids), tuple(self.drifts)
+        if len(drifts) != len(ids):
+            raise ConfigError(f"{len(ids)} series ids and {len(drifts)} drifts: an index needs an id and a drift per row")
         if len(set(ids)) != len(ids):
             raise ConfigError("series ids must be unique")
         # csv.writer leaves "\r" unquoted with "\n" line ends, and the
@@ -207,15 +208,11 @@ class SeriesIndex:
 class Dataset:
     """A homogeneous collection of series plus the config that built it.
 
-    Series ``i`` is ``ids[i]``, row ``i`` of the read-only (n_series,
-    length) float64 array ``values`` and ``drifts[i]``; all share
+    ``index`` says everything of the series but their values: series
+    ``i`` is ``ids[i]``, row ``i`` of the read-only (n_series,
+    series_length) float64 array ``values`` and ``drifts[i]``; all share
     ``train_len``. ``generator_config`` is a plain-dict snapshot of the
-    simulation config (or None for externally loaded data). ``index``
-    is all of it but the values: the :class:`SeriesIndex` that checked
-    it when the dataset was built. A builder that has checked them
-    already (:func:`load_dataset`) hands its index over, and the checks
-    do not run again; it must describe these ids, length, ``train_len``
-    and drifts.
+    simulation config (or None for externally loaded data).
 
     ``values`` given as a read-only float64 array that owns its memory
     is kept, not copied: its builder hands it over and must not make it
@@ -224,40 +221,44 @@ class Dataset:
     """
 
     name: str
-    ids: tuple
+    index: SeriesIndex
     values: np.ndarray
-    train_len: int
-    drifts: tuple
     generator_config: Optional[dict] = None
-    index: Optional[SeriesIndex] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ids, values, drifts = tuple(self.ids), self.values, tuple(self.drifts)
+        values = self.values
         # keep a read-only float64 array that owns its memory (its builder
         # hands it over); copy anything else, which its caller may still change
         owned = isinstance(values, np.ndarray) and values.dtype == np.float64 and values.flags.owndata
         if not owned or values.flags.writeable:
             values = np.array(values, dtype=np.float64)
-        if values.ndim != 2 or values.size == 0 or not len(ids) == len(values) == len(drifts):
-            raise ConfigError("a dataset needs a non-empty (n_series, length) array, an id and a drift per row")
-        index = self.index
-        if index is None:
-            index = SeriesIndex(ids, values.shape[1], self.train_len, drifts)
-        elif (index.ids, index.series_length, index.train_len, index.drifts) != (ids, values.shape[1], self.train_len, drifts):
-            raise ConfigError("the index handed to a dataset describes other series")
+        shape = (len(self.ids), self.series_length)
+        if values.size == 0 or values.shape != shape:
+            raise ConfigError(f"a dataset needs a non-empty value array of shape {shape}, an id and a drift per row")
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
-            raise ConfigError(f"series {ids[np.argmin(finite)]!r} contains non-finite values")
+            raise ConfigError(f"series {self.ids[np.argmin(finite)]!r} contains non-finite values")
         values.setflags(write=False)
-        for name, value in (("ids", index.ids), ("values", values), ("drifts", index.drifts), ("index", index)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @property
+    def ids(self) -> tuple:
+        return self.index.ids
+
+    @property
+    def drifts(self) -> tuple:
+        return self.index.drifts
+
+    @property
+    def train_len(self) -> int:
+        return self.index.train_len
+
+    @property
     def series_length(self) -> int:
-        return self.values.shape[1]
+        return self.index.series_length
 
     @property
     def series(self) -> tuple:
@@ -486,7 +487,7 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     if short.size:
         raise ConfigError(f"series {ids[short[0]]!r} holds {filled[short[0]]} of {length} positions in {csv_path}")
     values.setflags(write=False)  # handed over to the Dataset, which keeps it
-    return Dataset(meta["name"], ids, values, index.train_len, index.drifts, meta["generator_config"], index)
+    return Dataset(meta["name"], index, values, meta["generator_config"])
 
 
 def spawned_seed(seed: int, stream: int) -> int:

@@ -48,7 +48,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from driftcast.combine import DEFAULT_PAIRINGS, NON_FINITE_RSS
 from driftcast.core import (
     ConfigError,
     Dataset,
@@ -75,6 +74,19 @@ from driftcast.learners import (
     fit_local_ar,
 )
 from driftcast.weighting import WeightingScheme
+
+DEFAULT_ETA = 0.01
+
+# a diverged combiner's failure reason: the error of the scalar ``rss_point``
+NON_FINITE_RSS = "rss_point requires finite inputs"
+
+# (partial-model weighting, all-model weighting)
+DEFAULT_PAIRINGS = (
+    ("exponential", "exponential"),
+    ("exponential", "linear"),
+    ("linear", "exponential"),
+    ("linear", "linear"),
+)
 
 
 @dataclass(frozen=True)
@@ -141,7 +153,7 @@ class MethodSpec:
     """One configured method; combiner flags are ignored by others."""
 
     name: str
-    eta: float = 0.01
+    eta: float = DEFAULT_ETA
     true_gradient: bool = False
     clamp: bool = False
 

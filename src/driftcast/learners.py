@@ -14,8 +14,8 @@ Three families, each trainable on the full history or the most recent
 
 Recency weighting (see :mod:`driftcast.weighting`) enters the global
 learner as per-row loss weights; local benchmarks are unweighted.
-The local AR fit builds its design rows ``[lag 1 ... lag p, 1]`` with
-``_design_rows``, from one contiguous slice per lag. The pooled fit
+The local AR fit builds its design rows ``[lag 1 ... lag p, 1]`` from
+one contiguous slice per lag. The pooled fit
 builds no rows: every series shares its rows' weights, so its normal
 equations are weighted sums along time of one table of cross-series
 lag products, built once per dataset (``_lag_products``). They agree
@@ -85,18 +85,6 @@ class ForecastModel:
     intercept: Optional[float] = None
     level: Optional[float] = None
     smoothing: Optional[float] = None
-
-
-def _design_rows(values: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the rows ``[lag 1 ... lag p, 1]`` of the targets
-    ``values[first:]``, ``p = out.shape[1] - 1``, and return those
-    targets. Each lag column is one contiguous slice copy."""
-    n = len(values)
-    p = out.shape[1] - 1
-    for k in range(1, p + 1):
-        out[:, k - 1] = values[first - k : n - k]
-    out[:, p] = 1.0
-    return values[first:]
 
 
 # positions per block of ``_lag_table``: its products of a block are one
@@ -218,9 +206,12 @@ def fit_local_ar(values: Sequence[float], p: int, window: str = WINDOW_ALL) -> F
     window_len = resolve_window(window, len(values))
     if window_len < 2 * p + 2:
         raise FitError(f"window of {window_len} too short for AR({p})")
-    Xa = np.empty((window_len - p, p + 1))
-    y = _design_rows(values[len(values) - window_len :], p, Xa)
-    beta, *_ = np.linalg.lstsq(Xa, y, rcond=None)
+    segment = values[len(values) - window_len :]
+    Xa = np.empty((window_len - p, p + 1))  # rows [lag 1 ... lag p, 1], one slice copy per lag
+    for k in range(1, p + 1):
+        Xa[:, k - 1] = segment[p - k : window_len - k]
+    Xa[:, p] = 1.0
+    beta, *_ = np.linalg.lstsq(Xa, segment[p:], rcond=None)
     if not np.all(np.isfinite(beta)):
         raise FitError("least squares produced non-finite coefficients")
     spec = LearnerSpec(family="local_ar", p=p, window=window)

@@ -32,6 +32,7 @@ from driftcast.core import (
     ConfigError,
     Dataset,
     DriftMeta,
+    SeriesIndex,
     derive_series_seed,
     require_finite,
     spawned_seed,
@@ -276,4 +277,4 @@ def make_dataset(cfg: SimConfig) -> Dataset:
         drifts += _batch_series(cfg, range(start, stop), values[start:stop])
     values.setflags(write=False)  # handed over to the Dataset, which keeps it
     ids = [f"{cfg.drift_kind}_{i:04d}" for i in range(cfg.n_series)]
-    return Dataset(cfg.drift_kind, ids, values, cfg.train_len, drifts, asdict(cfg))
+    return Dataset(cfg.drift_kind, SeriesIndex(ids, cfg.series_length, cfg.train_len, drifts), values, asdict(cfg))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from driftcast.core import ConfigError, Dataset, TimeSeries
+from driftcast.core import ConfigError, Dataset, SeriesIndex, TimeSeries
 from driftcast.simulate import SimConfig, _batch_series
 
 
@@ -44,8 +44,8 @@ def from_series(name: str, series: Sequence[TimeSeries], generator_config: Optio
     """A dataset of ``series``, which must share length and ``train_len``."""
     if len({(len(s), s.train_len) for s in series}) != 1:
         raise ConfigError("a dataset needs series that share length and train_len")
-    ids, drifts = [s.id for s in series], [s.drift for s in series]
-    return Dataset(name, ids, np.stack([s.values for s in series]), series[0].train_len, drifts, generator_config)
+    index = SeriesIndex([s.id for s in series], len(series[0]), series[0].train_len, [s.drift for s in series])
+    return Dataset(name, index, np.stack([s.values for s in series]), generator_config)
 
 
 def make_series(cfg: SimConfig, ordinal: int) -> TimeSeries:

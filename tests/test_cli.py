@@ -606,8 +606,9 @@ class TestRunCommand:
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest() and peak < 256 << 10
 
     def test_run_and_report_leave_numpy_ma_unloaded(self, tmp_path):
-        # np.median's NaN check imports numpy.ma; a fresh interpreter shows
-        # whether a command loads it, whatever this test process has loaded
+        # np.median's NaN check imports numpy.ma, and the engine needs no
+        # scalar combiner; a fresh interpreter shows whether a command loads
+        # either, whatever this test process has loaded
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_document()))
         out = tmp_path / "out"
@@ -617,13 +618,13 @@ class TestRunCommand:
                 "from driftcast import cli",
                 f"assert cli.main(['run', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0",
                 f"assert cli.main(['report', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0",
-                "print('numpy.ma' in sys.modules)",
+                "print('numpy.ma' in sys.modules, 'driftcast.combine' in sys.modules)",
             ]
         )
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "False"
+        assert done.stdout.splitlines()[-1] == "False False"
 
 
 class TestMainExitCodes:

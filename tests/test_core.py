@@ -3,7 +3,7 @@ import json
 import re
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -230,47 +230,52 @@ class TestDataset:
         assert np.array_equal(ds.series[1].values, b.values)
 
     def test_index_built_once_and_kept(self, monkeypatch):
+        assert [f.name for f in fields(Dataset)] == ["name", "index", "values", "generator_config"]
         built = []
         check = SeriesIndex.__post_init__
         monkeypatch.setattr(SeriesIndex, "__post_init__", lambda index: built.append(index) or check(index))
-        ds = Dataset("d", ["a", "b"], np.ones((2, 5)), 3, [DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4)])
-        assert len(built) == 1 and ds.index is built[0] and ds.index is ds.index
-        assert ds.index == SeriesIndex(ds.ids, ds.series_length, ds.train_len, ds.drifts)
+        drifts = (DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4))
+        ds = Dataset("d", SeriesIndex(["a", "b"], 5, 3, drifts), np.ones((2, 5)))
+        assert len(built) == 1 and ds.index is built[0]
+        # the series facts are the index's, read through it
+        assert (ds.ids, ds.series_length, ds.train_len, ds.drifts, len(ds)) == (("a", "b"), 5, 3, drifts, 2)
 
     def test_index_handed_over_is_kept_unchecked(self, monkeypatch, tmp_path):
-        drifts = [DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4)]
-        index = SeriesIndex(("a", "b"), 5, 3, drifts)
-        save_dataset(Dataset("d", index.ids, np.ones((2, 5)), 3, drifts), tmp_path / "d.csv")
+        index = SeriesIndex(("a", "b"), 5, 3, [DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4)])
+        save_dataset(Dataset("d", index, np.ones((2, 5))), tmp_path / "d.csv")
         built = []
         check = SeriesIndex.__post_init__
         monkeypatch.setattr(SeriesIndex, "__post_init__", lambda index: built.append(index) or check(index))
-        assert Dataset("d", index.ids, np.ones((2, 5)), 3, index.drifts, None, index).index is index
+        assert Dataset("d", index, np.ones((2, 5))).index is index
         assert built == []
         # load_dataset checks the sidecar's index once and hands it over
         assert load_dataset(tmp_path / "d.csv").index is built[0] and len(built) == 1
-        for change in ({"ids": ("b", "a")}, {"values": np.ones((2, 6))}, {"train_len": 2}, {"drifts": drifts[::-1]}):
-            fields = dict(dict(ids=index.ids, values=np.ones((2, 5)), train_len=3, drifts=index.drifts), **change)
-            with pytest.raises(ConfigError, match="describes other series"):
-                Dataset("d", **fields, index=index)
+
+    def test_index_needs_a_drift_per_id(self):
+        drift = DriftMeta(kind="sudden", t_drift=4)
+        with pytest.raises(ConfigError, match="2 series ids and 1 drifts"):
+            SeriesIndex(("a", "b"), 5, 3, [drift])
+        with pytest.raises(ConfigError, match="1 series ids and 2 drifts"):
+            SeriesIndex(("a",), 5, 3, [drift, drift])
 
     def test_values_copied(self):
         values = np.ones((2, 5))
-        ds = Dataset("d", ["a", "b"], values, 3, [DriftMeta(kind="none")] * 2)
+        ds = Dataset("d", SeriesIndex(["a", "b"], 5, 3, [DriftMeta(kind="none")] * 2), values)
         values[0, 0] = 7.0
         assert ds.values[0, 0] == 1.0 and values.flags.writeable
 
     def test_handed_over_values_kept(self):
         owned = np.ones((2, 5))
         owned.setflags(write=False)
-        drifts = [DriftMeta(kind="none")] * 2
-        assert np.shares_memory(Dataset("d", ["a", "b"], owned, 3, drifts).values, owned)
+        index = SeriesIndex(["a", "b"], 5, 3, [DriftMeta(kind="none")] * 2)
+        assert np.shares_memory(Dataset("d", index, owned).values, owned)
         # its caller may still change a writable array or a view, and a
         # float32 array is no float64 one: each is copied
         view = owned[:, :]
         single = np.ones((2, 5), dtype=np.float32)
         single.setflags(write=False)
         for values in (np.ones((2, 5)), view, single):
-            assert not np.shares_memory(Dataset("d", ["a", "b"], values, 3, drifts).values, values)
+            assert not np.shares_memory(Dataset("d", index, values).values, values)
 
     @pytest.mark.parametrize(
         "change, message",
@@ -286,12 +291,15 @@ class TestDataset:
             ({"train_len": 0}, "train_len"),
             ({"train_len": 4}, "train_len"),
             ({"drifts": [DriftMeta(kind="none"), DriftMeta(kind="sudden", t_drift=4)]}, "t_drift=4 outside"),
+            ({"values": np.ones((1, 3))}, "an id and a drift per row"),
+            ({"values": np.ones((2, 4))}, "of shape (2, 3)"),
         ],
     )
     def test_validated_once_over_the_array(self, change, message):
-        fields = {"ids": ["a", "b"], "values": np.ones((2, 3)), "train_len": 2, "drifts": [DriftMeta(kind="none")] * 2}
+        facts = {"ids": ["a", "b"], "values": np.ones((2, 3)), "train_len": 2, "drifts": [DriftMeta(kind="none")] * 2}
+        facts.update(change)
         with pytest.raises(ConfigError, match=re.escape(message)):
-            Dataset(name="d", **dict(fields, **change))
+            Dataset("d", SeriesIndex(facts["ids"], 3, facts["train_len"], facts["drifts"]), facts["values"])
 
     def test_from_series_needs_series(self):
         with pytest.raises(ConfigError):
@@ -358,7 +366,7 @@ class TestDatasetIO:
     def test_load_holds_one_value_array(self, tmp_path):
         n, length = 64, 5000
         values = np.random.default_rng(3).normal(size=(n, length))
-        dataset = Dataset("d", [f"s{i}" for i in range(n)], values, 10, [DriftMeta(kind="none")] * n)
+        dataset = Dataset("d", SeriesIndex([f"s{i}" for i in range(n)], length, 10, [DriftMeta(kind="none")] * n), values)
         save_dataset(dataset, tmp_path / "d.csv")
         loaded, peak = traced_peak(load_dataset, tmp_path / "d.csv")
         # the array the reader fills becomes the dataset's: no second copy
@@ -385,7 +393,7 @@ class TestDatasetReader:
         length = data.draw(st.integers(1, 6))
         values = data.draw(arrays(np.float64, (len(ids), length), elements=VALUES))
         drifts = [DriftMeta(kind="sudden", t_drift=length, seed=i) for i in range(len(ids))]
-        dataset = Dataset("d", ids, values, length, drifts, {"base_seed": 3})
+        dataset = Dataset("d", SeriesIndex(ids, length, length, drifts), values, {"base_seed": 3})
         # the series interleaved, each keeping its own order of t
         order = data.draw(st.permutations([i for i in range(len(ids)) for _ in range(length)]))
         written = [0] * len(ids)

@@ -4,10 +4,10 @@
 attribute with a timing wrapper; a name the package no longer has is
 skipped with a note on stderr and reads as 0 calls, so a refactor could
 silently zero a layer metric. ``perfbench/oracle.py`` imports the
-scalar oracles and reads a dataset through ``Dataset.series``. These
-tests read both files' source, so that they follow the benchmark
-without restating it, and fail when the package drops a name either
-one uses.
+scalar oracles and reads a loaded dataset's ``train_len`` and
+``Dataset.series``. These tests read both files' source, so that they
+follow the benchmark without restating it, and fail when the package
+drops a name either one uses.
 """
 
 import ast
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from driftcast import evaluate, learners
+from driftcast.core import load_dataset, save_dataset
 from driftcast.evaluate import EvalConfig, MethodSpec, prequential_run
 from driftcast.learners import WINDOW_ALL, WINDOW_LAST_200, LearnerSpec
 from driftcast.weighting import WeightingScheme, weight_schedule
@@ -93,11 +94,33 @@ def test_oracle_imports_exist(module, name):
     assert hasattr(importlib.import_module(module), name), f"perfbench/oracle.py imports {name} from {module}"
 
 
-def test_dataset_series_views():
+def _oracle_reads(variable: str) -> set:
+    """Each attribute that ``perfbench/oracle.py`` reads off a name ``variable``."""
+    tree = ast.parse((PERFBENCH / "oracle.py").read_text(encoding="utf-8"))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == variable
+    }
+
+
+def test_dataset_series_views(tmp_path):
     ds = tiny_dataset(n_series=3)
     for i, s in enumerate(ds.series):
         assert s.id == ds.ids[i]
         assert np.array_equal(s.values, ds.values[i])
+    # the oracle reads a loaded ``dataset``, and each of its series as ``s``
+    save_dataset(ds, tmp_path / "d.csv")
+    loaded = load_dataset(tmp_path / "d.csv")
+    dataset_reads, series_reads = _oracle_reads("dataset"), _oracle_reads("s")
+    # the parse finds the reads: an empty set would check nothing
+    assert {"series", "train_len"} <= dataset_reads and {"id", "values"} <= series_reads
+    for name in dataset_reads - {"series"}:
+        assert np.array_equal(getattr(loaded, name), getattr(ds, name)), f"perfbench/oracle.py reads dataset.{name}"
+    assert len(loaded.series) == len(ds)
+    for got, want in zip(loaded.series, ds.series):
+        for name in series_reads:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), f"perfbench/oracle.py reads s.{name}"
 
 
 @pytest.mark.parametrize("literal", [False, True])
