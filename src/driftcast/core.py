@@ -135,14 +135,14 @@ class DriftMeta:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One series: values, train/test split, and drift provenance.
 
     ``train_len`` is the number of training observations, so the first
     test point sits at 1-based index ``train_len + 1``. The series is
     checked as a one-series :class:`Dataset`, whose frozen value row it
-    keeps; instances are safe to share.
+    keeps; instances are safe to share, and compare by identity.
     """
 
     id: str
@@ -204,7 +204,7 @@ class SeriesIndex:
         return cls([entry["id"] for entry in series], meta["series_length"], meta["train_len"], drifts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A homogeneous collection of series plus the config that built it.
 
@@ -217,7 +217,7 @@ class Dataset:
     ``values`` given as a read-only float64 array that owns its memory
     is kept, not copied: its builder hands it over and must not make it
     writable again. Anything else, a writable array, a view or a list,
-    is copied.
+    is copied. Datasets compare and hash by identity.
     """
 
     name: str

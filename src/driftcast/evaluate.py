@@ -1,17 +1,20 @@
 """Prequential evaluation harness and error reporting.
 
 The forecast horizon is split into equal blocks, and each block
-boundary runs one protocol on all observations seen so far: fit the
-pooled global models that the methods read (``_submodels``) and
-forecast the block with them; refit each method in a fit step that
-returns its forecaster of the block; then count the fits and store
-the forecasts. Inside a block, forecasts are one step ahead with the
-origin rolling over the true observations and no refitting. The
-adaptive combiners keep their weights across block boundaries
-(weights belong to the online stream, models are refreshed). A fit
-step fails a whole method by raising ``FitError`` (an ETS window too
-short, a failed global fit or combiner sub-model), and single series
-through ``fail`` (a local AR fit, a diverged combiner).
+boundary of ``prequential_run`` runs one protocol on all observations
+seen so far: fit the pooled global models that the methods read
+(``_submodels``) and forecast the block with them; refit each method
+in a fit step that returns its forecaster of the block; then count the
+fits and store the forecasts. A captured weight trace holds each
+sub-model's forecasts once, stored by the global phase, and per
+combiner step the weights and combined forecast of each pairing.
+Inside a block, forecasts are one step ahead with the origin rolling
+over the true observations and no refitting. The adaptive combiners
+keep their weights across block boundaries (weights belong to the
+online stream, models are refreshed). A fit step fails a whole method
+by raising ``FitError`` (an ETS window too short, a failed global fit
+or combiner sub-model), and single series through ``fail`` (a local AR
+fit, a diverged combiner).
 
 The engine advances every series of the dataset, held as one
 (n_series x length) array, through a block with numpy operations
@@ -210,14 +213,20 @@ class EvalConfig:
 class RunResult:
     """Everything a prequential campaign produced for one dataset.
 
+    ``failures`` maps each method to the message of each failed series,
+    keyed by series id.
+
     ``weight_traces`` (with ``capture_weights``) maps each combiner to
     ``(steps, table)``: ``steps`` is an (n_series,) int array of the
     steps recorded per series, and ``table`` an (n_series, horizon,
-    pairings, 5) float array whose last axis holds the partial and full
-    sub-model forecasts, ``w_p``, ``w_a`` and the pairing's combined
-    forecast of each step, pairings in ``DEFAULT_PAIRINGS`` order. Only
-    the first ``steps[i]`` rows of series ``i`` are recorded: a series
-    stops at its combiner's failure.
+    pairings, 3) float array whose last axis holds ``w_p``, ``w_a`` and
+    the pairing's combined forecast of each step, pairings in
+    ``DEFAULT_PAIRINGS`` order. Only the first ``steps[i]`` rows of
+    series ``i`` are recorded: a series stops at its combiner's failure.
+    ``submodel_forecasts`` (with ``capture_weights`` too) maps each
+    model of ``PAIRING_SUBMODELS`` that a combiner read to its
+    (n_series, horizon) forecasts: the partial and full forecasts of
+    every recorded step, held once for all pairings and combiners.
 
     A run loaded from a trace file (:func:`load_traces`) has its
     sidecar's series, in the sidecar's order, and its ``train_len``; the
@@ -234,6 +243,7 @@ class RunResult:
     fit_counts: dict
     failures: dict
     weight_traces: Optional[dict] = None
+    submodel_forecasts: Optional[dict] = None
 
 
 def _submodels(name: str) -> tuple:
@@ -364,22 +374,32 @@ class _CombinerBank:
         return combined / pred.shape[1], diverged
 
     def weight_row(self) -> np.ndarray:
-        """(n, pairings, 5): sub-model forecasts, weights and combined
-        forecast of the last step, as the weight traces record them."""
-        return np.stack([self.y_partial, self.y_all, self.w_p, self.w_a, self.pred], axis=-1)
+        """(n, pairings, 3): weights and combined forecast of the last
+        step, as the weight traces record them."""
+        return np.stack([self.w_p, self.w_a, self.pred], axis=-1)
 
 
-def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool, spans: Spans) -> tuple:
+def prequential_run(
+    dataset: Dataset, cfg: EvalConfig, capture_weights: bool = False, spans: Optional[Spans] = None
+) -> RunResult:
     """Run every configured method over the horizon of every series of
-    ``dataset``, all series together, one block at a time. Returns
-    predictions and fit counts per method, failure messages per
-    method keyed by row, and, with ``capture_weights``, each combiner's
-    weight traces as :attr:`RunResult.weight_traces` holds them.
+    ``dataset``, all series together, one block at a time.
 
-    ``spans`` times the block-level phases: ``pooled_fits``,
-    ``local_ar_fits``, ``ets_grid``, ``forecasts`` (AR and ETS, global
-    and local) and ``combiner_steps``."""
-    values, train_len = dataset.values, dataset.train_len
+    Any fit failure marks the (series, method) pair as failed and is
+    surfaced in the result rather than silently skipped.
+    ``capture_weights`` additionally records the combiners' weight
+    traces and their sub-models' forecasts. ``spans``, when given,
+    times the block-level phases: ``pooled_fits``, ``local_ar_fits``,
+    ``ets_grid``, ``forecasts`` (AR and ETS, global and local) and
+    ``combiner_steps``.
+    """
+    if dataset.train_len + cfg.horizon > dataset.series_length:
+        raise ConfigError(
+            f"series of length {dataset.series_length} cannot host train_len "
+            f"{dataset.train_len} plus horizon {cfg.horizon}"
+        )
+    spans = spans or Spans()
+    values, train_len, series_ids = dataset.values, dataset.train_len, dataset.ids
     n = len(dataset)
     V = values.T  # V[t]: every series' value at position t; a view, not a copy, of the dataset
     names = [m.name for m in cfg.methods]
@@ -390,18 +410,19 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool, sp
     global_specs = {g: cfg.global_spec(g) for g in needed_global_models(cfg.methods)}
     # per method, the state kept from block to block: a combiner's bank, or an ETS grid once fitted
     carried = {m.name: _CombinerBank(m, n) for m in cfg.methods if METHODS[m.name].family in ("ecw", "gdw")}
-    weights = None
+    weights = submodels = None
     if capture_weights:
         weights = {
-            name: (np.zeros(n, dtype=int), np.full((n, cfg.horizon, len(DEFAULT_PAIRINGS), 5), np.nan)) for name in carried
+            name: (np.zeros(n, dtype=int), np.full((n, cfg.horizon, len(DEFAULT_PAIRINGS), 3), np.nan)) for name in carried
         }
+        submodels = {g: np.full((n, cfg.horizon), np.nan) for name in carried for g in _submodels(name)}
 
     def fail(name: str, rows, message: str) -> None:
         """Mark the working series among ``rows`` (a mask, or True for
         all) failed for ``name``."""
         rows = np.flatnonzero(ok[name] & rows)
         for i in rows:
-            failed[name][int(i)] = message
+            failed[name][series_ids[i]] = message
         ok[name][rows] = False
 
     # each fit step fits method ``m`` on the positions before ``start`` and
@@ -479,6 +500,8 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool, sp
                 for g, model in block_globals.items():
                     if not isinstance(model, FitError):
                         block_globals[g] = _ar_forecasts(V, start, stop, model.coef, model.intercept)
+                        if capture_weights and g in submodels:
+                            submodels[g][:, start - train_len : stop - train_len] = block_globals[g].T
             for m in cfg.methods:
                 name = m.name
                 if not ok[name].any():
@@ -495,37 +518,17 @@ def _evaluate_batch(dataset: Dataset, cfg: EvalConfig, capture_weights: bool, sp
                     forecasts = forecast()
                     preds[name][:, start - train_len : stop - train_len] = np.where(ok[name], forecasts, np.nan).T
 
-    return preds, fit_counts, failed, weights
-
-
-def prequential_run(
-    dataset: Dataset, cfg: EvalConfig, capture_weights: bool = False, spans: Optional[Spans] = None
-) -> RunResult:
-    """Run the full campaign over one dataset, all series in one batch.
-
-    Any fit failure marks the (series, method) pair as failed and is
-    surfaced in the result rather than silently skipped.
-    ``capture_weights`` additionally records the combiners' per-step
-    weight trajectories, and ``spans``, when given, times the engine's
-    block-level phases.
-    """
-    if dataset.train_len + cfg.horizon > dataset.series_length:
-        raise ConfigError(
-            f"series of length {dataset.series_length} cannot host train_len "
-            f"{dataset.train_len} plus horizon {cfg.horizon}"
-        )
-    predictions, fit_counts, failed, weights = _evaluate_batch(dataset, cfg, capture_weights, spans or Spans())
-    series_ids = dataset.ids
     return RunResult(
         series_ids=series_ids,
-        methods=tuple(m.name for m in cfg.methods),
-        train_len=dataset.train_len,
+        methods=tuple(names),
+        train_len=train_len,
         horizon=cfg.horizon,
-        actuals=dataset.values[:, dataset.train_len : dataset.train_len + cfg.horizon].copy(),
-        predictions=predictions,
+        actuals=values[:, train_len : train_len + cfg.horizon].copy(),
+        predictions=preds,
         fit_counts=fit_counts,
-        failures={name: {series_ids[i]: msg for i, msg in sorted(rows.items())} for name, rows in failed.items()},
+        failures=failed,
         weight_traces=weights,
+        submodel_forecasts=submodels,
     )
 
 
@@ -605,7 +608,11 @@ class SensitivityTable:
     methods: tuple
 
 
-def _per_series(report: EvalReport, metric: str) -> dict:
+def _per_series(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str) -> dict:
+    """``report``'s per-series ``metric``, whose rows must be
+    ``dataset``'s series in its order."""
+    if report.series_ids != dataset.ids:
+        raise ConfigError(f"the report does not score the dataset's {len(dataset.ids)} series in its order")
     if metric == "rmse":
         return report.rmse_per_series
     if metric == "mae":
@@ -629,7 +636,7 @@ SENSITIVITY_BUCKETS = 10
 def drift_sensitivity(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str = "rmse") -> SensitivityTable:
     """Bucket series by drift point (sudden) or drift length
     (incremental) and average the chosen metric per bucket."""
-    per_series = _per_series(report, metric)
+    per_series = _per_series(dataset, report, metric)
     _, values = _drift_parameter(dataset)
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
@@ -656,7 +663,7 @@ def drift_sensitivity(dataset: Dataset | SeriesIndex, report: EvalReport, metric
 def drift_region_split(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str = "rmse") -> dict:
     """Per-method mean metric for series whose sudden drift lands in
     the test region vs the first half of training, plus the excess."""
-    per_series = _per_series(report, metric)
+    per_series = _per_series(dataset, report, metric)
     parameter, values = _drift_parameter(dataset)
     if parameter != "t_drift":
         raise ConfigError("drift-region split needs a sudden-drift dataset")
@@ -706,11 +713,10 @@ def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> lis
     ``series_id,t,y,yhat_partial,yhat_all,w_p,w_a,yhat_combined``, one
     row per recorded step, y being the actual.
 
-    The files are written side by side, one series at a time. Within a
-    series, the actuals and sub-model forecasts are formatted once per
-    distinct column, bit for bit: in a campaign, each sub-model's
-    forecasts sit in two pairings of both combiners, and the combiners
-    record the same actuals."""
+    The files are written side by side, one series at a time. A
+    series' actuals and sub-model forecasts are formatted once, for
+    every pairing of every combiner, and each file takes the first
+    ``steps[i]`` of them (:attr:`RunResult.weight_traces`)."""
     header = ["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"]
     positions = [str(run.train_len + k + 1) for k in range(run.horizon)]
     # a combiner that never stepped gets no file
@@ -720,25 +726,16 @@ def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> lis
         for method in traces
         for j, (partial, full) in enumerate(DEFAULT_PAIRINGS)
     }
-    text = {}  # a column's bytes -> its text, for the current series
-
-    def formatted(column: np.ndarray) -> list[str]:
-        key = column.tobytes()
-        if key not in text:
-            text[key] = format_floats(column)
-        return text[key]
-
     with ExitStack() as stack:
         files = {key: stack.enter_context(open_csv(path, header)) for key, path in paths.items()}
         for i, sid in enumerate(map(csv_field, run.series_ids)):
-            text.clear()
+            y = format_floats(run.actuals[i])
+            sub = {g: format_floats(forecasts[i]) for g, forecasts in run.submodel_forecasts.items()}
             for method, (steps, table) in traces.items():
                 k = steps[i]
-                y = formatted(run.actuals[i, :k])
-                for j in range(len(DEFAULT_PAIRINGS)):
-                    columns = table[i, :k, j].T
-                    rows = csv_rows((sid,), positions[:k], y, *map(formatted, columns[:2]), *map(format_floats, columns[2:]))
-                    files[method, j].write(rows)
+                for j, (partial, full) in enumerate(PAIRING_SUBMODELS):
+                    weights = map(format_floats, table[i, :k, j].T)
+                    files[method, j].write(csv_rows((sid,), positions[:k], y[:k], sub[partial][:k], sub[full][:k], *weights))
     return list(paths.values())
 
 

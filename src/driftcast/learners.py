@@ -91,7 +91,7 @@ class ForecastModel:
 # (n_series, _TABLE_BLOCK) temporary
 _TABLE_BLOCK = 64
 
-_lag_tables: dict = {}  # id(dataset) -> {p: its lag-product table}, dropped with the dataset
+_lag_tables = weakref.WeakKeyDictionary()  # dataset -> {p: its lag-product table}, dropped with the dataset
 
 
 def _lag_table(values: np.ndarray, p: int) -> np.ndarray:
@@ -115,10 +115,7 @@ def _lag_products(dataset: Dataset, p: int) -> np.ndarray:
     """``dataset``'s lag-product table of order ``p`` (``_lag_table``),
     built on first use and kept until the dataset is freed. Its values
     are read-only, so the table never goes stale."""
-    tables = _lag_tables.get(id(dataset))
-    if tables is None:
-        tables = _lag_tables[id(dataset)] = {}
-        weakref.finalize(dataset, _lag_tables.pop, id(dataset), None)
+    tables = _lag_tables.setdefault(dataset, {})
     if p not in tables:
         tables[p] = _lag_table(dataset.values, p)
     return tables[p]

@@ -229,6 +229,14 @@ class TestDataset:
         assert [(s.id, s.drift) for s in ds.series] == [("a", a.drift), ("b", b.drift)]
         assert np.array_equal(ds.series[1].values, b.values)
 
+    def test_compares_by_identity(self):
+        # equal values make neither two datasets nor two series equal, and
+        # comparing or hashing them answers instead of raising
+        a, b = (from_series(name="d", series=(make_series("a"), make_series("b"))) for _ in range(2))
+        assert a == a and a != b and len({a, b}) == 2
+        s, t = a.series[0], a.series[0]
+        assert s == s and s != t and len({s, t}) == 2
+
     def test_index_built_once_and_kept(self, monkeypatch):
         assert [f.name for f in fields(Dataset)] == ["name", "index", "values", "generator_config"]
         built = []

@@ -165,6 +165,17 @@ def weight_table(rows, run, i):
     return np.array([list(row.values()) for _, _, row in rows]).reshape(len(rows), len(DEFAULT_PAIRINGS), 5)
 
 
+def recorded_weights(run, name, i):
+    """The recorded steps of combiner ``name`` on series ``i`` as the
+    replay logs them, a (steps, pairings, 5) array: per pairing, the
+    partial and full forecasts from ``run.submodel_forecasts``, then the
+    weights and combined forecast from ``run.weight_traces``."""
+    steps, table = run.weight_traces[name]
+    k = steps[i]
+    sub = np.array([[run.submodel_forecasts[g][i, :k] for g in pair] for pair in PAIRING_SUBMODELS])
+    return np.concatenate([sub.transpose(2, 0, 1), table[i, :k]], axis=-1)
+
+
 def assert_matches_replay(run, dataset, cfg):
     preds, fit_counts, failures, weights = scalar_replay(dataset, cfg)
     for name in run.methods:
@@ -175,10 +186,10 @@ def assert_matches_replay(run, dataset, cfg):
         assert set(run.weight_traces) == set(weights)
         for name, per_series in weights.items():
             steps, table = run.weight_traces[name]
-            assert table.shape == (len(dataset), cfg.horizon, len(DEFAULT_PAIRINGS), 5)
+            assert table.shape == (len(dataset), cfg.horizon, len(DEFAULT_PAIRINGS), 3)
             for i, rows in enumerate(per_series.values()):
                 assert steps[i] == len(rows), (name, i)
-                assert np.array_equal(table[i, : steps[i]], weight_table(rows, run, i), equal_nan=True), (name, i)
+                assert np.array_equal(recorded_weights(run, name, i), weight_table(rows, run, i), equal_nan=True), (name, i)
 
 
 def spiked_dataset(n_series=4, spike_series=1, length=80, train_len=50, spike_at=60):
@@ -305,6 +316,20 @@ class TestPrequentialRun:
                 j = len(run.series_ids) - 1 - i
                 assert steps[i] == rev_steps[j], (name, sid)
                 assert np.array_equal(table[i, : steps[i]], rev_table[j, : steps[i]], equal_nan=True), (name, sid)
+        assert set(run.submodel_forecasts) == set(rev.submodel_forecasts) == {g for pair in PAIRING_SUBMODELS for g in pair}
+        for g, forecasts in run.submodel_forecasts.items():
+            assert np.array_equal(bits(forecasts), bits(rev.submodel_forecasts[g][::-1])), g
+
+    def test_submodel_forecasts_are_the_global_forecasts(self):
+        ds = tiny_dataset()
+        cfg = EvalConfig(horizon=30, block_size=10)  # every method of the benchmark matrix
+        assert len(cfg.methods) == 14
+        assert prequential_run(ds, cfg).submodel_forecasts is None
+        run = prequential_run(ds, cfg, capture_weights=True)
+        assert set(run.submodel_forecasts) == {"EXP_200", "EXP_All", "Linear_200", "Linear_All"}
+        for g, forecasts in run.submodel_forecasts.items():
+            assert np.all(np.isfinite(forecasts)), g
+            assert np.array_equal(bits(forecasts), bits(run.predictions[g])), g
 
     def test_fit_failure_reported_not_silent(self):
         ds = tiny_dataset(length=60, train_len=10)
@@ -598,6 +623,17 @@ class TestSensitivity:
         with pytest.raises(ConfigError):
             drift_region_split(ds, report, metric="rsme")
 
+    def test_tables_need_the_report_of_the_dataset(self):
+        ds = tiny_dataset(n_series=12)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All"))
+        reordered = from_series(name=ds.name, series=tuple(reversed(ds.series)))
+        report = build_report(prequential_run(reordered, cfg))
+        for table in (drift_sensitivity, drift_region_split):
+            for dataset in (ds, ds.index):
+                with pytest.raises(ConfigError, match="does not score the dataset's 12 series in its order"):
+                    table(dataset, report)
+        drift_sensitivity(reordered.index, report)
+
     def test_region_split_needs_both_groups(self):
         ds = tiny_dataset(kind="incremental")
         cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All"))
@@ -633,14 +669,14 @@ def reference_weight_traces(run, kind):
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["series_id", "t", "y", "yhat_partial", "yhat_all", "w_p", "w_a", "yhat_combined"])
             for i, sid in enumerate(run.series_ids):
-                for k in range(steps[i]):
-                    values = (run.actuals[i, k], *table[i, k, j])
+                for k, row in enumerate(recorded_weights(run, method, i)):
+                    values = (run.actuals[i, k], *row[j])
                     writer.writerow([sid, run.train_len + k + 1] + [repr(float(v)) for v in values])
             files[f"weights_{method}_{partial[:3]}{full[:3]}_{kind}.csv"] = buf.getvalue().encode()
     return files
 
 
-def hand_made_run(series_ids, train_len, actuals, predictions, weight_traces=None):
+def hand_made_run(series_ids, train_len, actuals, predictions, weight_traces=None, submodel_forecasts=None):
     n, horizon = actuals.shape
     return RunResult(
         series_ids=tuple(series_ids),
@@ -652,6 +688,7 @@ def hand_made_run(series_ids, train_len, actuals, predictions, weight_traces=Non
         fit_counts={name: np.zeros(n, dtype=int) for name in predictions},
         failures={name: {} for name in predictions},
         weight_traces=weight_traces,
+        submodel_forecasts=submodel_forecasts,
     )
 
 
@@ -907,10 +944,11 @@ class TestWeightTraces:
         for name in ("GDW", "ECW"):
             # no step, some steps or the full horizon, series by series
             steps = np.array(data.draw(st.lists(st.integers(0, horizon), min_size=n, max_size=n)))
-            table = data.draw(arrays(np.float64, (n, horizon, len(DEFAULT_PAIRINGS), 5), elements=FLOATS))
+            table = data.draw(arrays(np.float64, (n, horizon, len(DEFAULT_PAIRINGS), 3), elements=FLOATS))
             weight_traces[name] = (steps, table)
-        actuals = data.draw(arrays(np.float64, (n, horizon), elements=FLOATS))
-        run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, {}, weight_traces)
+        actuals, *forecasts = data.draw(arrays(np.float64, (5, n, horizon), elements=FLOATS))
+        submodels = dict(zip(("EXP_200", "EXP_All", "Linear_200", "Linear_All"), forecasts))
+        run = hand_made_run(series_ids, data.draw(st.integers(0, 10**6)), actuals, {}, weight_traces, submodels)
         with tempfile.TemporaryDirectory() as tmp:
             written = {path.name: path.read_bytes() for path in write_weight_traces(tmp, "sudden", run)}
         assert written == reference_weight_traces(run, "sudden")
@@ -963,7 +1001,7 @@ class TestCombinerBank:
                 assert not diverged[i]
                 assert np.array_equal(combined[i], expected, equal_nan=True)
                 states = [ensembles[i].states[p] for p in DEFAULT_PAIRINGS]
-                row = [(s.prev_pred_partial, s.prev_pred_all, s.w_p, s.w_a, s.prev_pred_combined) for s in states]
+                row = [(s.w_p, s.w_a, s.prev_pred_combined) for s in states]
                 assert np.array_equal(bank.weight_row()[i], row, equal_nan=True)
                 ensembles[i].observe(float(actuals[k, i]))
             w_p, w_a = bank.w_p[alive], bank.w_a[alive]

@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -246,11 +247,13 @@ class TestLagProductTable:
         fit_global_ar(ds, 80, LearnerSpec(family="global_ar", p=2))
         assert built == [3, 2]
         # the table goes with its dataset
-        key = id(ds)
-        assert set(learners._lag_tables[key]) == {3, 2}
+        assert set(learners._lag_tables[ds]) == {3, 2}
+        freed = weakref.ref(ds)
+        gc.collect()
+        held = len(learners._lag_tables)
         del ds
         gc.collect()
-        assert key not in learners._lag_tables
+        assert freed() is None and len(learners._lag_tables) == held - 1
 
 
 class TestGlobalAr:
