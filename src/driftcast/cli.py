@@ -43,10 +43,12 @@ from driftcast.core import (
     csv_rows,
     format_floats,
     load_dataset,
+    read_json,
     read_sidecar,
     save_dataset,
     sidecar_path,
     write_csv,
+    write_json,
 )
 from driftcast.evaluate import (
     EvalConfig,
@@ -261,7 +263,7 @@ def apply_seed_override(document: dict, env: dict | None = None) -> dict:
     except ValueError as exc:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
     document = copy.deepcopy(document)
-    simulate = document.get("simulate") if isinstance(document, dict) else None
+    simulate = document.get("simulate")
     if isinstance(simulate, dict):
         # a section that is not an object is left to validate_config
         for section in simulate.values():
@@ -281,15 +283,7 @@ def load_config_document(preset: str | None, config_path: str | None) -> dict:
         raise ConfigError("provide --preset, --config, or both")
     document = preset_config(preset) if preset else {}
     if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                override = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        document = deep_merge(document, override) if document else override
+        document = deep_merge(document, read_json(config_path, "config"))
     return apply_seed_override(document)
 
 
@@ -375,11 +369,11 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
     results keyed by drift kind.
 
     Each phase is timed as a span (:class:`Spans`), summed over the
-    kinds. The four phases of ``timings_seconds`` hold the others:
-    ``datasets`` holds ``load_dataset`` or ``simulate``, ``evaluate``
-    the engine's phases and ``scoring``, ``traces`` ``write_traces``
-    and ``reports`` ``rendering``; the last two also hold the
-    ``hashing`` of the files they wrote."""
+    kinds, and the manifest's ``phases`` holds them all. Four outer
+    phases hold the others: ``datasets`` holds ``load_dataset`` or
+    ``simulate``, ``evaluate`` the engine's phases and ``scoring``,
+    ``traces`` ``write_traces`` and ``reports`` ``rendering``; the last
+    two also hold the ``hashing`` of the files they wrote."""
     if not cfg.sim_configs:
         raise ConfigError("config has no simulate section")
     (out_dir / "traces").mkdir(parents=True, exist_ok=True)
@@ -417,7 +411,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "timings_seconds": {phase: round(spans.phases[phase][0], 3) for phase in ("datasets", "evaluate", "traces", "reports")},
         "phases": spans.to_dict(),
         "failure_fractions": {
             kind: {
@@ -428,9 +421,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
         },
         "files": files,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
     return results
 
 
@@ -669,7 +660,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{kind}: best mean RMSE {mean_rmse:.4f} ({method})")
                 else:
                     print(f"{kind}: no method scored")
-            manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+            manifest = read_json(out_dir / "manifest.json", "manifest")
             worst = max(f for fractions in manifest["failure_fractions"].values() for f in fractions.values())
             if worst > FAILURE_EXIT_THRESHOLD:
                 print(f"warning: a method failed on {worst:.1%} of series", file=sys.stderr)
@@ -681,7 +672,6 @@ def main(argv: list[str] | None = None) -> int:
             written = cmd_report(cfg, out_dir)
             print(f"re-rendered {len(written)} report files under {out_dir}")
             return 0
-        parser.error(f"unknown command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -691,7 +681,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failures map to exit code 2
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

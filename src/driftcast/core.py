@@ -369,6 +369,33 @@ def key_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.append(starts[1:], len(keys[0]))
 
 
+# The JSON contract of every JSON file (dataset sidecars, configs, the
+# manifest): one object, written indented by 2 and ended by "\n".
+
+
+def write_json(path: str | Path, document: dict) -> Path:
+    """Write ``document`` as a JSON file."""
+    path = Path(path)
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8", newline="")
+    return path
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the file ``path``. A file that is missing, not
+    UTF-8, not JSON or not an object raises ConfigError naming ``what``
+    and the path."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{what} {path} is missing")
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return document
+
+
 DATASET_COLUMNS = {"series_id": object, "t": np.int64, "value": np.float64}
 
 
@@ -393,11 +420,7 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> Path:
         "generator_config": dataset.generator_config,
         "series": [{"id": sid, "drift": drift.to_dict()} for sid, drift in zip(dataset.ids, dataset.drifts)],
     }
-    meta_path = sidecar_path(csv_path)
-    with open(meta_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-    return meta_path
+    return write_json(sidecar_path(csv_path), meta)
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -421,13 +444,7 @@ def read_sidecar(csv_path: str | Path) -> dict:
     missing sidecar. A drift index may be null, for DriftMeta to
     check."""
     meta_path = sidecar_path(csv_path)
-    if not meta_path.is_file():
-        raise ConfigError(f"sidecar {meta_path} is missing")
-    with open(meta_path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"sidecar {meta_path} is not valid JSON: {exc}") from exc
+    meta = read_json(meta_path, "sidecar")
     if not (
         _holds(meta, *_SIDECAR_KEYS)
         and isinstance(meta["series"], list)

@@ -83,14 +83,6 @@ DEFAULT_ETA = 0.01
 # a diverged combiner's failure reason: the error of the scalar ``rss_point``
 NON_FINITE_RSS = "rss_point requires finite inputs"
 
-# (partial-model weighting, all-model weighting)
-DEFAULT_PAIRINGS = (
-    ("exponential", "exponential"),
-    ("exponential", "linear"),
-    ("linear", "exponential"),
-    ("linear", "linear"),
-)
-
 
 @dataclass(frozen=True)
 class MethodRecord:
@@ -127,16 +119,11 @@ METHODS = {
     "Oracle": MethodRecord("oracle", "diagnostic"),
 }
 
+# (partial, full) sub-model names of each pairing a combiner averages
+PAIRING_SUBMODELS = (("EXP_200", "EXP_All"), ("EXP_200", "Linear_All"), ("Linear_200", "EXP_All"), ("Linear_200", "Linear_All"))
 
-def _global_model(weighting: str, window: str) -> str:
-    (name,) = [n for n, r in METHODS.items() if (r.family, r.weighting, r.window) == ("global_ar", weighting, window)]
-    return name
-
-
-# (partial, full) sub-model names of each pairing of DEFAULT_PAIRINGS
-PAIRING_SUBMODELS = tuple(
-    (_global_model(partial, WINDOW_LAST_200), _global_model(full, WINDOW_ALL)) for partial, full in DEFAULT_PAIRINGS
-)
+# (partial-model weighting, all-model weighting) of each pairing
+DEFAULT_PAIRINGS = tuple((METHODS[partial].weighting, METHODS[full].weighting) for partial, full in PAIRING_SUBMODELS)
 
 
 def method_group(name: str) -> str:
@@ -198,7 +185,7 @@ class EvalConfig:
         if not names or len(set(names)) != len(names):
             raise ConfigError("methods must be non-empty and unique")
         object.__setattr__(self, "methods", methods)
-        self.global_spec(_global_model("none", WINDOW_ALL))
+        self.global_spec("Plain_All")
 
     def global_spec(self, name: str) -> LearnerSpec:
         """The learner spec of global model ``name``: its window and
