@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
 from driftcast.core import DriftcastError
 from driftcast.evaluate import DEFAULT_ETA, DEFAULT_PAIRINGS, NON_FINITE_RSS
@@ -63,11 +64,36 @@ class CombinerState:
     pending_observe: bool = False
 
 
-def _check_steppable(state: CombinerState) -> None:
+def _normalised(a: float, b: float) -> tuple[float, float]:
+    """``a`` and ``b`` as shares of their sum; 0.5 each if it is zero."""
+    total = a + b
+    if total == 0.0:
+        return 0.5, 0.5
+    return a / total, b / total
+
+
+def _step(state: CombinerState, y_partial: float, y_all: float, weights: Callable[[], tuple]) -> tuple[float, CombinerState]:
+    """The step both rules share: step 1 passes ``y_all`` through with
+    the state's weights, later steps combine with ``weights()``."""
     if state.pending_observe:
         raise DriftcastError("previous prediction has no observed actual yet")
     if state.step < 1:
         raise DriftcastError("step must be >= 1")
+    if state.step == 1:
+        prediction = y_all
+        w_p, w_a = state.w_p, state.w_a
+    else:
+        w_p, w_a = weights()
+        prediction = w_p * y_partial + w_a * y_all
+    return prediction, replace(
+        state,
+        w_p=w_p,
+        w_a=w_a,
+        prev_pred_partial=y_partial,
+        prev_pred_all=y_all,
+        prev_pred_combined=prediction,
+        pending_observe=True,
+    )
 
 
 def ecw_step(state: CombinerState, y_partial: float, y_all: float) -> tuple[float, CombinerState]:
@@ -78,30 +104,13 @@ def ecw_step(state: CombinerState, y_partial: float, y_all: float) -> tuple[floa
     squared error; if both previous errors were zero the weights fall
     back to 0.5/0.5.
     """
-    _check_steppable(state)
-    if state.step == 1:
-        prediction = y_all
-        w_p, w_a = state.w_p, state.w_a
-    else:
+
+    def weights() -> tuple:
         eps_p = rss_point(state.prev_actual, state.prev_pred_partial)
         eps_a = rss_point(state.prev_actual, state.prev_pred_all)
-        total = eps_p + eps_a
-        if total == 0.0:
-            w_p = w_a = 0.5
-        else:
-            w_p = eps_a / total
-            w_a = eps_p / total
-        prediction = w_p * y_partial + w_a * y_all
-    new_state = replace(
-        state,
-        w_p=w_p,
-        w_a=w_a,
-        prev_pred_partial=y_partial,
-        prev_pred_all=y_all,
-        prev_pred_combined=prediction,
-        pending_observe=True,
-    )
-    return prediction, new_state
+        return _normalised(eps_a, eps_p)
+
+    return _step(state, y_partial, y_all, weights)
 
 
 def gdw_step(
@@ -120,40 +129,21 @@ def gdw_step(
     update a least-mean-squares step; ``clamp`` restricts weights to
     [0, 1] and renormalizes them to sum to one.
     """
-    _check_steppable(state)
-    if state.step == 1:
-        prediction = y_all
-        w_p, w_a = state.w_p, state.w_a
-    else:
+
+    def weights() -> tuple:
         if true_gradient:
-            residual = state.prev_actual - state.prev_pred_combined
-            g_p = -2.0 * state.prev_pred_partial * residual
-            g_a = -2.0 * state.prev_pred_all * residual
+            err = state.prev_actual - state.prev_pred_combined
         else:
-            eps = rss_point(state.prev_actual, state.prev_pred_combined)
-            g_p = -2.0 * state.prev_pred_partial * eps
-            g_a = -2.0 * state.prev_pred_all * eps
+            err = rss_point(state.prev_actual, state.prev_pred_combined)
+        g_p = -2.0 * state.prev_pred_partial * err
+        g_a = -2.0 * state.prev_pred_all * err
         w_p = state.w_p - g_p * state.eta
         w_a = state.w_a - g_a * state.eta
         if clamp:
-            w_p = min(max(w_p, 0.0), 1.0)
-            w_a = min(max(w_a, 0.0), 1.0)
-            total = w_p + w_a
-            if total == 0.0:
-                w_p = w_a = 0.5
-            else:
-                w_p, w_a = w_p / total, w_a / total
-        prediction = w_p * y_partial + w_a * y_all
-    new_state = replace(
-        state,
-        w_p=w_p,
-        w_a=w_a,
-        prev_pred_partial=y_partial,
-        prev_pred_all=y_all,
-        prev_pred_combined=prediction,
-        pending_observe=True,
-    )
-    return prediction, new_state
+            return _normalised(min(max(w_p, 0.0), 1.0), min(max(w_a, 0.0), 1.0))
+        return w_p, w_a
+
+    return _step(state, y_partial, y_all, weights)
 
 
 def observe(state: CombinerState, actual: float) -> CombinerState:
@@ -194,20 +184,12 @@ class PairingEnsemble:
         """Advance every pairing and return the mean combined forecast."""
         if set(sub_predictions) != set(self.pairings):
             raise DriftcastError("sub_predictions must cover exactly the configured pairings")
+        step = ecw_step if self.rule == "ecw" else partial(gdw_step, true_gradient=self.true_gradient, clamp=self.clamp)
         total = 0.0
         new_states = {}
         for pairing in self.pairings:
             y_partial, y_all = sub_predictions[pairing]
-            if self.rule == "ecw":
-                pred, new_states[pairing] = ecw_step(self.states[pairing], y_partial, y_all)
-            else:
-                pred, new_states[pairing] = gdw_step(
-                    self.states[pairing],
-                    y_partial,
-                    y_all,
-                    true_gradient=self.true_gradient,
-                    clamp=self.clamp,
-                )
+            pred, new_states[pairing] = step(self.states[pairing], y_partial, y_all)
             total += pred
         self.states = new_states
         return total / len(self.pairings)

@@ -299,6 +299,13 @@ def _ets_forecasts(V: np.ndarray, start: int, stop: int, level: np.ndarray, alph
     return out
 
 
+def _normalised(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``a`` and ``b`` as shares of their sum; 0.5 each where it is zero."""
+    total = a + b
+    zero = total == 0.0
+    return np.where(zero, 0.5, a / total), np.where(zero, 0.5, b / total)
+
+
 class _CombinerBank:
     """ECW or GDW state of every series in a batch: one row per series,
     one column per pairing of ``DEFAULT_PAIRINGS``. Each step applies
@@ -327,12 +334,7 @@ class _CombinerBank:
                 diverged = ~np.all(np.isfinite(self.y_partial) & np.isfinite(self.y_all), axis=1)
                 r_p = actual - self.y_partial
                 r_a = actual - self.y_all
-                eps_p = r_p * r_p
-                eps_a = r_a * r_a
-                total = eps_p + eps_a
-                zero = total == 0.0
-                self.w_p = np.where(zero, 0.5, eps_a / total)
-                self.w_a = np.where(zero, 0.5, eps_p / total)
+                self.w_p, self.w_a = _normalised(r_a * r_a, r_p * r_p)
             else:
                 residual = actual - self.pred
                 if spec.true_gradient:
@@ -345,13 +347,7 @@ class _CombinerBank:
                 w_p = self.w_p - g_p * spec.eta
                 w_a = self.w_a - g_a * spec.eta
                 if spec.clamp:
-                    w_p = np.where(w_p < 0.0, 0.0, w_p)
-                    w_p = np.where(w_p > 1.0, 1.0, w_p)
-                    w_a = np.where(w_a < 0.0, 0.0, w_a)
-                    w_a = np.where(w_a > 1.0, 1.0, w_a)
-                    total = w_p + w_a
-                    zero = total == 0.0
-                    w_p, w_a = np.where(zero, 0.5, w_p / total), np.where(zero, 0.5, w_a / total)
+                    w_p, w_a = _normalised(np.clip(w_p, 0.0, 1.0), np.clip(w_a, 0.0, 1.0))
                 self.w_p, self.w_a = w_p, w_a
             pred = self.w_p * y_partial + self.w_a * y_all
         self.y_partial, self.y_all, self.pred = y_partial, y_all, pred

@@ -206,6 +206,7 @@ def _ar_batch(
 ) -> np.ndarray:
     """``n`` values, after ``burn_in`` discarded, of ``k`` trajectories of
     the AR process x_t = mean + sum_q phi_q (x_{t-q} - mean) + N(0, sd^2).
+    ``coeffs`` are a ``SimConfig``'s, which checked them for stationarity.
 
     Trajectory j starts from ``initial[j]`` (oldest first), draws its
     noise from its own generator seeded with ``seeds[j]`` and runs
@@ -215,7 +216,6 @@ def _ar_batch(
     n)`` result equals that reference bit for bit, whatever else is in
     the batch.
     """
-    check_stationary(coeffs)
     p = len(coeffs)
     xs = np.empty((p + burn_in + n, len(seeds)))
     xs[:p] = (initial - means[:, None]).T

@@ -114,13 +114,9 @@ def hochberg(p_values: Mapping[str, float], alpha: float = 0.05) -> tuple[dict, 
         raise ConfigError("no p-values to adjust")
     items = sorted(p_values.items(), key=lambda kv: (kv[1], kv[0]))
     m = len(items)
-    adjusted_sorted = [0.0] * m
-    running = min(1.0, items[-1][1])
-    adjusted_sorted[m - 1] = running
-    for i in range(m - 2, -1, -1):
-        running = min(running, (m - i) * items[i][1])
-        adjusted_sorted[i] = min(1.0, running)
-    adjusted = {name: adj for (name, _), adj in zip(items, adjusted_sorted)}
+    p_sorted = np.array([p for _, p in items], dtype=np.float64)
+    running_min = np.minimum.accumulate(((m - np.arange(m)) * p_sorted)[::-1])[::-1]
+    adjusted = {name: adj for (name, _), adj in zip(items, np.minimum(running_min, 1.0).tolist())}
     rejected = {name for name, adj in adjusted.items() if adj <= alpha}
     return adjusted, rejected
 

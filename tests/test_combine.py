@@ -13,6 +13,8 @@ from driftcast.combine import (
     rss_point,
 )
 from driftcast.core import DriftcastError
+from driftcast.evaluate import MethodSpec, _CombinerBank
+from test_core import bits
 
 
 def ecw_oracle(y_prev, yp_prev, ya_prev, yp, ya):
@@ -194,6 +196,42 @@ class TestGdw:
         _, new = gdw_step(state, 1.0, 1.0, clamp=True)
         assert new.w_p + new.w_a == pytest.approx(1.0)
         assert 0.0 <= new.w_p <= 1.0
+
+        # sub-model forecasts of the opposite sign to the error push both
+        # weights below 0, so both clamp to 0 and fall back to 0.5/0.5
+        state = CombinerState(
+            step=2,
+            w_p=0.1,
+            w_a=0.1,
+            prev_actual=5.0,
+            prev_pred_partial=-1.0,
+            prev_pred_all=-2.0,
+            prev_pred_combined=-0.3,
+            eta=0.1,
+        )
+        _, unclamped = gdw_step(state, 1.0, 1.0)
+        assert unclamped.w_p < 0.0 and unclamped.w_a < 0.0
+        _, new = gdw_step(state, 1.0, 1.0, clamp=True)
+        assert (new.w_p, new.w_a) == (0.5, 0.5)
+
+        # the batched bank takes the same fallback on the same stream, bit for bit
+        y_partial = np.array([[[-1.0, -1.0, -2.0, -2.0]], [[2.0, 3.0, 4.0, 5.0]]])  # (step, series, pairing)
+        y_all = np.array([[[-2.0, -1.5, -2.0, -1.0]], [[1.0, 2.0, 3.0, 4.0]]])
+        actuals = np.array([[5.0], [2.5]])
+        bank = _CombinerBank(MethodSpec(name="GDW", eta=0.1, clamp=True), 1)
+        ensemble = PairingEnsemble(rule="gdw", eta=0.1, clamp=True)
+        for k in range(len(actuals)):
+            with np.errstate(all="ignore"):
+                combined, diverged = bank.step(y_partial[k], y_all[k], actuals[k - 1])
+            sub = {p: (float(y_partial[k, 0, j]), float(y_all[k, 0, j])) for j, p in enumerate(DEFAULT_PAIRINGS)}
+            expected = ensemble.step(sub)
+            assert not diverged[0]
+            assert np.array_equal(bits(combined[0]), bits(expected))
+            states = [ensemble.states[p] for p in DEFAULT_PAIRINGS]
+            row = [(s.w_p, s.w_a, s.prev_pred_combined) for s in states]
+            assert np.array_equal(bits(bank.weight_row()[0]), bits(np.array(row)))
+            ensemble.observe(float(actuals[k, 0]))
+        assert [(s.w_p, s.w_a) for s in states] == [(0.5, 0.5)] * len(DEFAULT_PAIRINGS)
 
 
 class TestProtocol:

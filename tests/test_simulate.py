@@ -383,12 +383,16 @@ class TestBatchedSimulator:
             assert (alone.id, alone.drift) == (s.id, s.drift)
 
     def test_stationarity_checked_once_per_batch(self, monkeypatch):
-        cfg = small_cfg("gradual", n_series=6)
+        # the frozen config checks both vectors once, where it is built;
+        # simulating its series checks them no more
         checked = []
         real = simulate.check_stationary
         monkeypatch.setattr(simulate, "check_stationary", lambda c: checked.append(c) or real(c))
-        make_dataset(cfg)
+        cfg = small_cfg("gradual", n_series=6)
         assert checked == [cfg.ar_coeffs, cfg.ar_coeffs_2]
+        checked.clear()
+        make_dataset(cfg)
+        assert checked == []
 
 
 class TestSimulationBlocks:
