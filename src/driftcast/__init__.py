@@ -8,13 +8,12 @@ harness plus Friedman/Hochberg rank statistics.
 
 __version__ = "0.1.0"
 
-from driftcast.core import Dataset, DriftMeta, TimeSeries, derive_series_seed
+from driftcast.core import Dataset, DriftMeta, derive_series_seed
 from driftcast.simulate import SimConfig, make_dataset
 
 __all__ = [
     "Dataset",
     "DriftMeta",
-    "TimeSeries",
     "SimConfig",
     "derive_series_seed",
     "make_dataset",

@@ -412,13 +412,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
             "python": sys.version.split()[0],
         },
         "phases": spans.to_dict(),
-        "failure_fractions": {
-            kind: {
-                name: res.report.failure_counts[name] / len(res.report.series_ids)
-                for name in res.report.methods
-            }
-            for kind, res in results.items()
-        },
+        "failure_fractions": {kind: res.report.failure_fractions for kind, res in results.items()},
         "files": files,
     }
     write_json(out_dir / "manifest.json", manifest)
@@ -652,7 +646,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {kind}: {n_series} series x {length}")
             return 0
         if args.command == "run":
-            for kind, res in cmd_run(cfg, out_dir).items():
+            results = cmd_run(cfg, out_dir)
+            for kind, res in results.items():
                 # the overall best on mean RMSE, as the accuracy report flags it
                 best = [row for row in accuracy_rows(res.report) if row[-1]]
                 if best:
@@ -660,8 +655,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{kind}: best mean RMSE {mean_rmse:.4f} ({method})")
                 else:
                     print(f"{kind}: no method scored")
-            manifest = read_json(out_dir / "manifest.json", "manifest")
-            worst = max(f for fractions in manifest["failure_fractions"].values() for f in fractions.values())
+            worst = max(f for res in results.values() for f in res.report.failure_fractions.values())
             if worst > FAILURE_EXIT_THRESHOLD:
                 print(f"warning: a method failed on {worst:.1%} of series", file=sys.stderr)
                 return 3

@@ -137,28 +137,16 @@ class DriftMeta:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """One series: values, train/test split, and drift provenance.
-
-    ``train_len`` is the number of training observations, so the first
-    test point sits at 1-based index ``train_len + 1``. The series is
-    checked as a one-series :class:`Dataset`, whose frozen value row it
-    keeps; instances are safe to share, and compare by identity.
-    """
+    """One row of a :class:`Dataset`, as :attr:`Dataset.series` yields
+    it: the row's id, values and drift, and the dataset's ``train_len``
+    (the first test point sits at 1-based index ``train_len + 1``). A
+    record that checks nothing, as its dataset checked it; instances
+    compare by identity."""
 
     id: str
     values: np.ndarray
     train_len: int
     drift: DriftMeta = field(default_factory=lambda: DriftMeta(kind="none"))
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ConfigError("values must be a non-empty 1-D sequence")
-        index = SeriesIndex([self.id], len(values), self.train_len, [self.drift])
-        object.__setattr__(self, "values", Dataset("", index, [values]).values[0])
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -262,7 +250,7 @@ class Dataset:
 
     @property
     def series(self) -> tuple:
-        """Every series as a :class:`TimeSeries`, each a copy of its row."""
+        """Every series as a :class:`TimeSeries`, its values a view of its row."""
         return tuple(map(TimeSeries, self.ids, self.values, [self.train_len] * len(self), self.drifts))
 
 

@@ -530,6 +530,11 @@ class EvalReport:
     summary: dict
     failure_counts: dict
 
+    @property
+    def failure_fractions(self) -> dict:
+        """Each method's failed share of the series, by name."""
+        return {name: self.failure_counts[name] / len(self.series_ids) for name in self.methods}
+
 
 def _median(x: np.ndarray) -> float:
     """The median of a non-empty 1-D array without NaN: its middle value,

@@ -42,9 +42,9 @@ def _metric_inputs(actuals, forecasts):
 
 def from_series(name: str, series: Sequence[TimeSeries], generator_config: Optional[dict] = None) -> Dataset:
     """A dataset of ``series``, which must share length and ``train_len``."""
-    if len({(len(s), s.train_len) for s in series}) != 1:
+    if len({(len(s.values), s.train_len) for s in series}) != 1:
         raise ConfigError("a dataset needs series that share length and train_len")
-    index = SeriesIndex([s.id for s in series], len(series[0]), series[0].train_len, [s.drift for s in series])
+    index = SeriesIndex([s.id for s in series], len(series[0].values), series[0].train_len, [s.drift for s in series])
     return Dataset(name, index, np.stack([s.values for s in series]), generator_config)
 
 

@@ -4,19 +4,21 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_core import traced_peak
 from test_evaluate import reference_weight_traces
 
-from driftcast import cli
+from driftcast import cli, evaluate
 from driftcast.cli import (
     PRESETS,
     apply_seed_override,
@@ -30,7 +32,7 @@ from driftcast.cli import (
     preset_config,
     validate_config,
 )
-from driftcast.core import ConfigError, SeriesIndex, load_dataset
+from driftcast.core import ConfigError, FitError, SeriesIndex, load_dataset
 from driftcast.evaluate import METHODS, prequential_run
 
 
@@ -168,6 +170,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(tiny_document(stats={"alpha": 1.5}))
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"simulate": {"sudden": {"n_series": 0}}}, "n_series must be positive"),
+            ({"simulate": {"sudden": {"series_length": 19}}}, "series_length too short"),
+            ({"simulate": {"sudden": {"burn_in": -1}}}, "burn_in must be nonnegative"),
+            ({"simulate": {"sudden": {"ar_coeffs": []}}}, "ar_coeffs must be non-empty"),
+            ({"evaluate": {"block_size": 0}}, "horizon and block_size must be positive"),
+            ({"methods": [{"name": "GDW", "eta": 0}]}, "eta must be positive"),
+            ({"methods": []}, "methods must be a non-empty list"),
+            ({"output": {"formats": ["pdf"]}}, "unknown output format 'pdf'"),
+        ],
+        ids=["n_series", "series_length", "burn_in", "ar_coeffs", "block_size", "eta", "methods", "formats"],
+    )
+    def test_range_checks_name_the_value(self, override, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(tiny_document(**override))
+
 
 class TestConfigPlumbing:
     def test_deep_merge_nested(self):
@@ -299,6 +319,30 @@ class TestRunCommand:
         assert all(r.test is None for r in results.values())
         text = (out / "reports" / "stats_sudden.csv").read_text()
         assert "skipped" in text
+
+    def test_too_few_series_scored_by_all_methods_skips_stats(self, tmp_path, monkeypatch):
+        # AR3_All fails every series but the first, so Plain_All and AR3_All
+        # share one scored series: too few for the rank tests
+        doc = tiny_document()
+        del doc["simulate"]["gradual"]
+        cfg = validate_config(doc)
+        out = tmp_path / "run"
+        cmd_simulate(cfg, out)
+        first = load_dataset(out / "datasets" / "sudden.csv").values[0]
+        real_fit = evaluate.fit_local_ar
+
+        def fit_first_series_only(values, p, window="all"):
+            if not np.array_equal(values, first[: len(values)]):
+                raise FitError("synthetic failure")
+            return real_fit(values, p, window)
+
+        monkeypatch.setattr(evaluate, "fit_local_ar", fit_first_series_only)
+        results = cmd_run(cfg, out)
+        note = "statistical testing skipped: fewer than 2 series scored by all methods"
+        assert results["sudden"].test is None and results["sudden"].stats_note == note
+        assert results["sudden"].report.failure_counts["AR3_All"] == 3
+        assert note in (out / "reports" / "stats.md").read_text()
+        assert (out / "reports" / "stats_sudden.csv").read_text() == f"note\n{note}\n"
 
     def test_single_method_writes_sensitivity(self, tmp_path):
         doc = tiny_document()
@@ -655,6 +699,28 @@ class TestMainExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_document()))
         assert main(["report", "--config", str(path), "--out", str(tmp_path / "empty")]) == 1
+
+    def test_report_without_a_configured_kinds_trace_fails(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        doc = tiny_document()
+        doc["simulate"] = {"incremental": doc["simulate"]["sudden"]}
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: no trace files found in {out / 'traces'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_config_without_simulate_section_fails(self, tmp_path, capsys, command):
+        doc = tiny_document()
+        del doc["simulate"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: config has no simulate section" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "run"])
     @pytest.mark.parametrize("method", ["AR3_200", "EXP_All"])

@@ -182,28 +182,30 @@ class TestDriftMeta:
 
 
 class TestTimeSeries:
+    # a series is checked by the dataset that holds it, as a row of its array
     def test_rejects_non_finite(self):
-        with pytest.raises(ConfigError):
-            TimeSeries(id="x", values=[1.0, np.nan], train_len=1)
-        with pytest.raises(ConfigError):
-            TimeSeries(id="x", values=[1.0, np.inf], train_len=1)
+        with pytest.raises(ConfigError, match="non-finite"):
+            from_series(name="d", series=(TimeSeries(id="x", values=[1.0, np.nan], train_len=1),))
+        with pytest.raises(ConfigError, match="non-finite"):
+            from_series(name="d", series=(TimeSeries(id="x", values=[1.0, np.inf], train_len=1),))
 
     def test_train_len_bounds(self):
-        with pytest.raises(ConfigError):
-            TimeSeries(id="x", values=[1.0, 2.0], train_len=0)
-        with pytest.raises(ConfigError):
-            TimeSeries(id="x", values=[1.0, 2.0], train_len=3)
+        for train_len in (0, 3):
+            with pytest.raises(ConfigError, match=rf"train_len={train_len} outside \[1, 2\]"):
+                from_series(name="d", series=(TimeSeries(id="x", values=[1.0, 2.0], train_len=train_len),))
 
     def test_rejects_carriage_return_in_id(self):
         # csv.writer would leave it unquoted, and csv.reader split the row
         with pytest.raises(ConfigError, match="carriage return"):
-            TimeSeries(id="cr\rx", values=[1.0, 2.0], train_len=1)
-        TimeSeries(id="line\nbreak", values=[1.0, 2.0], train_len=1)
+            from_series(name="d", series=(TimeSeries(id="cr\rx", values=[1.0, 2.0], train_len=1),))
+        from_series(name="d", series=(TimeSeries(id="line\nbreak", values=[1.0, 2.0], train_len=1),))
 
     def test_values_frozen(self):
-        s = make_series()
+        ds = from_series(name="d", series=(make_series(),))
+        s = ds.series[0]
         with pytest.raises(ValueError):
             s.values[0] = 99.0
+        assert np.shares_memory(s.values, ds.values)
 
 
 class TestDataset:

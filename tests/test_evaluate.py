@@ -696,7 +696,7 @@ def hand_made_run(series_ids, train_len, actuals, predictions, weight_traces=Non
 EDGE_IDS = ("", "a,b", 'q"t', "line\nbreak")
 EDGE_PREDICTIONS = (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1)
 
-# any text the files' utf-8 can hold but "\r", which TimeSeries
+# any text the files' utf-8 can hold but "\r", which SeriesIndex
 # rejects; any float64, the edge values drawn often
 NAMES = st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=6)
 FLOATS = st.floats() | st.sampled_from(EDGE_PREDICTIONS + (-5e-324, 2.2250738585072014e-308, -1e308))

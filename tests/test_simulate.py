@@ -174,6 +174,11 @@ class TestCombineSudden:
     def test_direct_substitution(self):
         out = combine_sudden(np.array([1.0, 2, 3, 4]), np.array([9.0, 9, 9, 9]), 3)
         assert np.array_equal(out, [1, 2, 9, 9])
+        # the splicers' input checks: equal lengths, finite values
+        with pytest.raises(ConfigError, match="equal length"):
+            combine_sudden(np.array([1.0, 2, 3, 4]), np.array([9.0, 9, 9]), 3)
+        with pytest.raises(ConfigError, match="ts2 contains non-finite values"):
+            combine_sudden(np.array([1.0, 2, 3, 4]), np.array([9.0, np.nan, 9, 9]), 3)
 
 
 class TestCombineIncremental:
