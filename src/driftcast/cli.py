@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -91,23 +91,10 @@ _JSON_TYPES = {
     Optional[float]: ("a finite number", _is_number),
     bool: ("a boolean", lambda value: isinstance(value, bool)),
     str: ("a string", lambda value: isinstance(value, str)),
-    list: ("a list", lambda value: isinstance(value, list)),
     tuple: ("a list of finite numbers", lambda value: isinstance(value, list) and all(map(_is_number, value))),
+    tuple[str, ...]: ("a list of strings", lambda value: isinstance(value, list) and all(isinstance(v, str) for v in value)),
 }
 
-
-def _field_types(cls, *skip: str) -> dict:
-    """Name -> type of each field of a config dataclass, in field order,
-    but those in ``skip``."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
-
-
-_SIM_KEYS = _field_types(SimConfig, "drift_kind")
-_METHOD_KEYS = _field_types(MethodSpec)
-_EVAL_KEYS = _field_types(EvalConfig, "methods")
-_STATS_KEYS = {"alpha": float}
-_OUTPUT_KEYS = {"directory": str, "formats": list, "weight_traces": bool}
 _TOP_KEYS = ("simulate", "methods", "evaluate", "stats", "output")
 
 
@@ -169,18 +156,53 @@ def deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _check_keys(section, allowed: dict, where: str) -> dict:
-    """``section`` if it is an object whose keys are all in ``allowed``
-    (key -> field type), each holding a JSON value of its type."""
+def _build(cls, section, where: str, **given):
+    """A ``cls`` from the fields ``given`` and the config object
+    ``section``, each key a field of its JSON type. Every fault, those
+    of ``cls``'s own checks too, names the key path ``where``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
+    types = get_type_hints(cls)
     for key, value in section.items():
-        if key not in allowed:
+        if key not in types or key in given:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        json_type, check = _JSON_TYPES[allowed[key]]
+        json_type, check = _JSON_TYPES[types[key]]
         if not check(value):
             raise ConfigError(f"{where}.{key} must be {json_type}")
-    return section
+    given.update(section)
+    for f in fields(cls):
+        if f.name not in given and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} has no {f.name!r}")
+    try:
+        return cls(**given)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class StatsConfig:
+    """The ``stats`` section: the rank tests' significance level."""
+
+    alpha: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError("alpha must be in (0, 1)")
+
+
+@dataclass(frozen=True)
+class OutputConfig:
+    """The ``output`` section: directory, report formats, weight traces."""
+
+    directory: str = "driftcast_out"
+    formats: tuple[str, ...] = ("csv", "md")
+    weight_traces: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "formats", tuple(self.formats))
+        for fmt in self.formats:
+            if fmt not in ("csv", "md"):
+                raise ConfigError(f"unknown format {fmt!r} in formats")
 
 
 @dataclass(frozen=True)
@@ -189,15 +211,13 @@ class RunConfig:
 
     sim_configs: dict
     eval_config: EvalConfig
-    alpha: float
-    out_dir: str
-    formats: tuple
-    weight_traces: bool
+    stats: StatsConfig
+    output: OutputConfig
     document: dict
 
 
 def validate_config(document: dict) -> RunConfig:
-    """Schema-check a config document and build the typed pieces."""
+    """Schema-check a config document and build its typed sections."""
     if not isinstance(document, dict):
         raise ConfigError("config must be a JSON object")
     for key in document:
@@ -207,47 +227,30 @@ def validate_config(document: dict) -> RunConfig:
     sim_section = document.get("simulate", {})
     if not isinstance(sim_section, dict):
         raise ConfigError("simulate section must map drift kinds to configs")
-    sim_configs = {}
-    for kind, section in sim_section.items():
-        if kind not in SIM_DRIFT_KINDS:
-            raise ConfigError(f"unknown drift kind {kind!r} in simulate section")
-        sim_configs[kind] = SimConfig(drift_kind=kind, **_check_keys(section, _SIM_KEYS, f"simulate.{kind}"))
+    sim_configs = {kind: _build(SimConfig, section, f"simulate.{kind}", drift_kind=kind) for kind, section in sim_section.items()}
 
     methods_section = document.get("methods")
     if not isinstance(methods_section, list) or not methods_section:
         raise ConfigError("methods must be a non-empty list")
-    methods = []
+    methods = {}
     for i, entry in enumerate(methods_section):
-        if "name" not in _check_keys(entry, _METHOD_KEYS, f"methods[{i}]"):
-            raise ConfigError(f"methods[{i}] has no 'name'")
-        methods.append(MethodSpec(**entry))
+        spec = _build(MethodSpec, entry, f"methods[{i}]")
+        if spec.name in methods:
+            raise ConfigError(f"methods[{i}] repeats method {spec.name!r}")
+        methods[spec.name] = spec
 
-    eval_section = _check_keys(document.get("evaluate", {}), _EVAL_KEYS, "evaluate")
-    eval_config = EvalConfig(methods=tuple(methods), **eval_section)
+    eval_config = _build(EvalConfig, document.get("evaluate", {}), "evaluate", methods=tuple(methods.values()))
     for kind, sim in sim_configs.items():
         if sim.train_len + eval_config.horizon > sim.series_length:
             raise ConfigError(
                 f"simulate.{kind}: train_len {sim.train_len} plus evaluate.horizon {eval_config.horizon} "
                 f"exceeds series_length {sim.series_length}"
             )
-    stats_section = _check_keys(document.get("stats", {}), _STATS_KEYS, "stats")
-    alpha = float(stats_section.get("alpha", 0.05))
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("stats.alpha must be in (0, 1)")
-
-    output_section = _check_keys(document.get("output", {}), _OUTPUT_KEYS, "output")
-    formats = tuple(output_section.get("formats", ["csv", "md"]))
-    for fmt in formats:
-        if fmt not in ("csv", "md"):
-            raise ConfigError(f"unknown output format {fmt!r}")
-
     return RunConfig(
         sim_configs=sim_configs,
         eval_config=eval_config,
-        alpha=alpha,
-        out_dir=output_section.get("directory", "driftcast_out"),
-        formats=formats,
-        weight_traces=bool(output_section.get("weight_traces", False)),
+        stats=_build(StatsConfig, document.get("stats", {}), "stats"),
+        output=_build(OutputConfig, document.get("output", {}), "output"),
         document=document,
     )
 
@@ -384,13 +387,13 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
         with spans("datasets"):
             dataset = _load_or_simulate(sim, out_dir, spans)
         with spans("evaluate"):
-            run = prequential_run(dataset, cfg.eval_config, capture_weights=cfg.weight_traces, spans=spans)
+            run = prequential_run(dataset, cfg.eval_config, capture_weights=cfg.output.weight_traces, spans=spans)
             with spans("scoring"):
-                results[kind] = score_kind(dataset.index, run, cfg.alpha)
+                results[kind] = score_kind(dataset.index, run, cfg.stats.alpha)
         with spans("traces"):
             with spans("write_traces"):
                 written = [write_traces(out_dir / "traces" / f"{kind}.csv", run)]
-                if cfg.weight_traces and run.weight_traces:
+                if cfg.output.weight_traces and run.weight_traces:
                     written.extend(write_weight_traces(out_dir / "traces", kind, run))
             with spans("hashing"):
                 files.extend(_inventory(out_dir, written))
@@ -578,10 +581,10 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
                         for b, count in enumerate(table.counts)
                     ],
                 )
-        if "csv" in cfg.formats:
+        if "csv" in cfg.output.formats:
             written += [_write_csv(reports_dir / name, header, rows) for name, (header, rows) in tables.items()]
 
-    if "md" in cfg.formats:
+    if "md" in cfg.output.formats:
         for name, lines in (("accuracy.md", accuracy_md), ("stats.md", stats_md)):
             path = reports_dir / name
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -602,7 +605,7 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
         if not trace_path.exists():
             continue
         index = SeriesIndex.from_sidecar(read_sidecar(dataset_paths(out_dir, kind)[0]))
-        results[kind] = score_kind(index, load_traces(trace_path, index), cfg.alpha)
+        results[kind] = score_kind(index, load_traces(trace_path, index), cfg.stats.alpha)
     if not results:
         raise ConfigError(f"no trace files found in {traces_dir}")
     return render_reports(cfg, out_dir, results)
@@ -640,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         document = load_config_document(args.preset, args.config)
         cfg = validate_config(document)
-        out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+        out_dir = Path(args.out) if args.out else Path(cfg.output.directory)
         if args.command == "simulate":
             for kind, (n_series, length) in cmd_simulate(cfg, out_dir).items():
                 print(f"wrote {kind}: {n_series} series x {length}")
@@ -662,7 +665,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "report":
             if args.format:
-                cfg = replace(cfg, formats=(args.format,))
+                cfg = replace(cfg, output=replace(cfg.output, formats=(args.format,)))
             written = cmd_report(cfg, out_dir)
             print(f"re-rendered {len(written)} report files under {out_dir}")
             return 0

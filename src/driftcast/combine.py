@@ -65,10 +65,14 @@ class CombinerState:
 
 
 def _normalised(a: float, b: float) -> tuple[float, float]:
-    """``a`` and ``b`` as shares of their sum; 0.5 each if it is zero."""
+    """``a`` and ``b`` as shares of their sum; 0.5 each if it is zero.
+    A sum of finite values that overflows is taken of their halves."""
     total = a + b
     if total == 0.0:
         return 0.5, 0.5
+    if math.isinf(total) and math.isfinite(a) and math.isfinite(b):
+        a, b = a * 0.5, b * 0.5
+        total = a + b
     return a / total, b / total
 
 

@@ -180,6 +180,8 @@ class EvalConfig:
             raise ConfigError("horizon and block_size must be positive")
         if self.horizon % self.block_size != 0:
             raise ConfigError("horizon must be divisible by block_size")
+        if self.global_lags < 1:
+            raise ConfigError("global_lags must be >= 1")
         methods = tuple(self.methods)
         names = [m.name for m in methods]
         if not names or len(set(names)) != len(names):
@@ -300,8 +302,14 @@ def _ets_forecasts(V: np.ndarray, start: int, stop: int, level: np.ndarray, alph
 
 
 def _normalised(a: np.ndarray, b: np.ndarray) -> tuple:
-    """``a`` and ``b`` as shares of their sum; 0.5 each where it is zero."""
+    """``a`` and ``b`` as shares of their sum; 0.5 each where it is zero.
+    A sum of finite values that overflows is taken of their halves."""
     total = a + b
+    over = np.isinf(total)
+    if over.any():
+        over &= np.isfinite(a) & np.isfinite(b)
+        a, b = np.where(over, a * 0.5, a), np.where(over, b * 0.5, b)
+        total = a + b
     zero = total == 0.0
     return np.where(zero, 0.5, a / total), np.where(zero, 0.5, b / total)
 

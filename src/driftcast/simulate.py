@@ -56,19 +56,19 @@ DEFAULT_AR_COEFFS_2 = (-0.3, 0.15, 0.05)
 _SIM_BLOCK = 256
 
 
-def check_stationary(coeffs: Sequence[float]) -> None:
-    """Reject AR coefficients whose characteristic roots touch the unit
-    circle (the generated process would not be stationary)."""
-    coeffs = require_finite(coeffs, "ar_coeffs")
+def check_stationary(coeffs: Sequence[float], name: str = "ar_coeffs") -> None:
+    """Reject AR coefficients ``name`` whose characteristic roots touch
+    the unit circle (the generated process would not be stationary)."""
+    coeffs = require_finite(coeffs, name)
     if coeffs.size == 0:
-        raise ConfigError("ar_coeffs must be non-empty")
+        raise ConfigError(f"{name} must be non-empty")
     # The roots z of 1 - phi_1 z - ... - phi_p z^p are the reciprocals of
     # the roots of z^p - phi_1 z^(p-1) - ... - phi_p, whose leading
     # coefficient is 1: a tiny phi_p leaves a tiny root there instead of
     # a division by phi_p that overflows.
     inverse_roots = np.roots(np.concatenate([[1.0], -coeffs]))
     if np.any(np.abs(inverse_roots) * (1.0 + 1e-9) >= 1.0):
-        raise ConfigError(f"AR coefficients {coeffs.tolist()} are not stationary")
+        raise ConfigError(f"{name} {coeffs.tolist()} are not stationary")
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class SimConfig:
         object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
         object.__setattr__(self, "ar_coeffs_2", tuple(float(c) for c in self.ar_coeffs_2))
         check_stationary(self.ar_coeffs)
-        check_stationary(self.ar_coeffs_2)
+        check_stationary(self.ar_coeffs_2, "ar_coeffs_2")
         if len(self.ar_coeffs_2) != len(self.ar_coeffs):
             raise ConfigError("ar_coeffs and ar_coeffs_2 must share the AR order")
         if not self.noise_sd > 0:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -172,19 +173,48 @@ class TestValidation:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"simulate": {"sudden": {"n_series": 0}}}, "n_series must be positive"),
-            ({"simulate": {"sudden": {"series_length": 19}}}, "series_length too short"),
-            ({"simulate": {"sudden": {"burn_in": -1}}}, "burn_in must be nonnegative"),
-            ({"simulate": {"sudden": {"ar_coeffs": []}}}, "ar_coeffs must be non-empty"),
-            ({"evaluate": {"block_size": 0}}, "horizon and block_size must be positive"),
-            ({"methods": [{"name": "GDW", "eta": 0}]}, "eta must be positive"),
+            ({"simulate": {"sudden": {"n_series": 0}}}, "simulate.sudden: n_series must be positive"),
+            ({"simulate": {"sudden": {"series_length": 19}}}, "simulate.sudden: series_length too short for drift placement"),
+            ({"simulate": {"sudden": {"burn_in": -1}}}, "simulate.sudden: burn_in must be nonnegative"),
+            ({"simulate": {"sudden": {"ar_coeffs": []}}}, "simulate.sudden: ar_coeffs must be non-empty"),
+            ({"evaluate": {"block_size": 0}}, "evaluate: horizon and block_size must be positive"),
+            ({"methods": [{"name": "GDW", "eta": 0}]}, "methods[0]: eta must be positive"),
             ({"methods": []}, "methods must be a non-empty list"),
-            ({"output": {"formats": ["pdf"]}}, "unknown output format 'pdf'"),
+            ({"output": {"formats": ["pdf"]}}, "output: unknown format 'pdf' in formats"),
+            ({"simulate": {"gradual": {"ar_coeffs_2": []}}}, "simulate.gradual: ar_coeffs_2 must be non-empty"),
+            (
+                {"simulate": {"gradual": {"ar_coeffs_2": [1.0, 0, 0]}}},
+                "simulate.gradual: ar_coeffs_2 [1.0, 0.0, 0.0] are not stationary",
+            ),
+            ({"simulate": {"gradual": {"n_series": 0}}}, "simulate.gradual: n_series must be positive"),
+            ({"stats": {"alpha": 1.5}}, "stats: alpha must be in (0, 1)"),
+            ({"methods": [{"name": "Foo"}]}, "methods[0]: unknown method 'Foo'"),
+            ({"methods": [{"eta": 0.1}]}, "methods[0] has no 'name'"),
+            ({"evaluate": {"global_lags": 0}}, "evaluate: global_lags must be >= 1"),
+            ({"methods": [{"name": "GDW"}, {"name": "ECW"}, {"name": "GDW"}]}, "methods[2] repeats method 'GDW'"),
         ],
-        ids=["n_series", "series_length", "burn_in", "ar_coeffs", "block_size", "eta", "methods", "formats"],
+        ids=[
+            "n_series",
+            "series_length",
+            "burn_in",
+            "ar_coeffs",
+            "block_size",
+            "eta",
+            "methods",
+            "formats",
+            "ar_coeffs_2_empty",
+            "ar_coeffs_2_nonstationary",
+            "n_series_second_kind",
+            "alpha",
+            "unknown_method",
+            "method_without_name",
+            "global_lags",
+            "repeated_method",
+        ],
     )
     def test_range_checks_name_the_value(self, override, message):
-        with pytest.raises(ConfigError, match=message):
+        # the whole message, its key path first
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             validate_config(tiny_document(**override))
 
 

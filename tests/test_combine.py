@@ -105,6 +105,26 @@ class TestEcw:
         _, new = ecw_step(state, 1.0, 1.0)
         assert new.w_p > new.w_a
 
+    def test_overflowing_error_sum_keeps_weights_summing_to_one(self):
+        # each squared error is finite, their sum is not: both layers
+        # once gave both weights 0, so the combined forecast read 0
+        actuals = np.array([[1e154], [9.48075191e153]])
+        zeros = np.zeros((1, len(DEFAULT_PAIRINGS)))
+        bank = _CombinerBank(MethodSpec(name="ECW"), 1)
+        ensemble = PairingEnsemble(rule="ecw")
+        for k in range(len(actuals) + 1):
+            with np.errstate(over="ignore"):  # as the engine steps its banks
+                combined, diverged = bank.step(zeros, zeros, actuals[k - 1])
+            expected = ensemble.step({p: (0.0, 0.0) for p in DEFAULT_PAIRINGS})
+            assert not diverged[0]
+            assert np.array_equal(bits(combined[0]), bits(expected))
+            states = [ensemble.states[p] for p in DEFAULT_PAIRINGS]
+            assert [s.w_p + s.w_a for s in states] == [1.0] * len(DEFAULT_PAIRINGS)
+            row = [(s.w_p, s.w_a, s.prev_pred_combined) for s in states]
+            assert np.array_equal(bits(bank.weight_row()[0]), bits(np.array(row)))
+            if k < len(actuals):
+                ensemble.observe(float(actuals[k, 0]))
+
 
 class TestGdw:
     def test_first_step(self):

@@ -392,7 +392,7 @@ class TestBatchedSimulator:
         # simulating its series checks them no more
         checked = []
         real = simulate.check_stationary
-        monkeypatch.setattr(simulate, "check_stationary", lambda c: checked.append(c) or real(c))
+        monkeypatch.setattr(simulate, "check_stationary", lambda c, name="ar_coeffs": checked.append(c) or real(c, name))
         cfg = small_cfg("gradual", n_series=6)
         assert checked == [cfg.ar_coeffs, cfg.ar_coeffs_2]
         checked.clear()
