@@ -106,8 +106,8 @@ class TestEcw:
         assert new.w_p > new.w_a
 
     def test_overflowing_error_sum_keeps_weights_summing_to_one(self):
-        # each squared error is finite, their sum is not: both layers
-        # once gave both weights 0, so the combined forecast read 0
+        # each squared error is finite but their sum is not; the weights
+        # must still sum to one, or the combined forecast reads 0
         actuals = np.array([[1e154], [9.48075191e153]])
         zeros = np.zeros((1, len(DEFAULT_PAIRINGS)))
         bank = _CombinerBank(MethodSpec(name="ECW"), 1)
