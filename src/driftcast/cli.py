@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -97,6 +98,12 @@ _JSON_TYPES = {
 
 _TOP_KEYS = ("simulate", "methods", "evaluate", "stats", "output")
 
+# the method-entry keys that only GDW reads
+_GDW_FLAGS = ("eta", "true_gradient", "clamp")
+
+# a config class's field types, resolved once per class
+_field_types = cache(get_type_hints)
+
 
 def preset_config(name: str) -> dict:
     """The full config document for a named preset.
@@ -162,7 +169,7 @@ def _build(cls, section, where: str, **given):
     of ``cls``'s own checks too, names the key path ``where``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
-    types = get_type_hints(cls)
+    types = _field_types(cls)
     for key, value in section.items():
         if key not in types or key in given:
             raise ConfigError(f"unknown key {key!r} in {where}")
@@ -235,6 +242,9 @@ def validate_config(document: dict) -> RunConfig:
     methods = {}
     for i, entry in enumerate(methods_section):
         spec = _build(MethodSpec, entry, f"methods[{i}]")
+        flag = next((key for key in entry if key in _GDW_FLAGS), None)
+        if flag and spec.name != "GDW":
+            raise ConfigError(f"methods[{i}]: {spec.name} takes no {flag!r}")
         if spec.name in methods:
             raise ConfigError(f"methods[{i}] repeats method {spec.name!r}")
         methods[spec.name] = spec
@@ -573,7 +583,7 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
         if kind in ("sudden", "incremental"):
             for metric in ("rmse", "mae"):
                 table = drift_sensitivity(res.dataset, res.report, metric=metric)
-                methods = report_order(table.methods)
+                methods = report_order(res.report.methods)
                 tables[f"sensitivity_{kind}_{metric}.csv"] = (
                     ["bucket_low", "bucket_high", "n_series", *methods],
                     [

@@ -140,7 +140,9 @@ def report_order(names) -> list:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One configured method; combiner flags are ignored by others."""
+    """One configured method. ``eta``, ``true_gradient`` and ``clamp``
+    are GDW's flags and other methods ignore them; a config's method
+    entry of any other method that holds one exits 1."""
 
     name: str
     eta: float = DEFAULT_ETA
@@ -258,7 +260,9 @@ def _ar_forecasts(V: np.ndarray, start: int, stop: int, coef: np.ndarray, interc
     """One-step AR forecasts of positions [start, stop) for every column
     of the time-major array ``V``; ``coef`` is (p,) for a shared model
     or (n, p) per series. Sums ``coef[k] * lag_{k+1}`` in lag order from
-    zero, then adds the intercept, as ``predict_one`` does."""
+    zero, then adds the intercept, as ``predict_one`` does: its dot keeps
+    that order only because its reversed lag view's negative stride keeps
+    numpy off BLAS."""
     p = coef.shape[-1]
     # the block's lags, gathered once: V may be a strided view of the dataset
     lagged = np.ascontiguousarray(V[start - p : stop - 1])
@@ -596,24 +600,13 @@ def build_report(run: RunResult) -> EvalReport:
 
 @dataclass
 class SensitivityTable:
-    """Mean metric per drift-parameter bucket per method."""
+    """Series bucketed by their drift parameter: the bucket ``edges``,
+    the ``counts`` of series and, per method in the report's order, the
+    ``means`` of its finite metric (NaN in a bucket without one)."""
 
     edges: np.ndarray
     counts: np.ndarray
     means: dict
-    methods: tuple
-
-
-def _per_series(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str) -> dict:
-    """``report``'s per-series ``metric``, whose rows must be
-    ``dataset``'s series in its order."""
-    if report.series_ids != dataset.ids:
-        raise ConfigError(f"the report does not score the dataset's {len(dataset.ids)} series in its order")
-    if metric == "rmse":
-        return report.rmse_per_series
-    if metric == "mae":
-        return report.mae_per_series
-    raise ConfigError(f"metric must be 'rmse' or 'mae', got {metric!r}")
 
 
 def _drift_parameter(dataset: Dataset | SeriesIndex) -> tuple[str, np.ndarray]:
@@ -625,6 +618,27 @@ def _drift_parameter(dataset: Dataset | SeriesIndex) -> tuple[str, np.ndarray]:
     raise ConfigError(f"no drift parameter for drift kinds {sorted(kinds)}")
 
 
+def _bucket_means(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str, bucket) -> SensitivityTable:
+    """Average ``report``'s per-series ``metric`` per bucket of
+    ``dataset``'s series. The report must score the dataset's series in
+    its order. ``bucket`` takes the drift parameter's name and
+    per-series values and returns the buckets' edges and each series'
+    bucket."""
+    if report.series_ids != dataset.ids:
+        raise ConfigError(f"the report does not score the dataset's {len(dataset.ids)} series in its order")
+    if metric not in ("rmse", "mae"):
+        raise ConfigError(f"metric must be 'rmse' or 'mae', got {metric!r}")
+    per_series = report.rmse_per_series if metric == "rmse" else report.mae_per_series
+    edges, idx = bucket(*_drift_parameter(dataset))
+    buckets = [idx == b for b in range(len(edges) - 1)]
+    means = {}
+    for name in report.methods:
+        vals = per_series[name]
+        kept = [vals[b & np.isfinite(vals)] for b in buckets]
+        means[name] = np.array([np.mean(v) if v.size else np.nan for v in kept])
+    return SensitivityTable(edges=edges, counts=np.bincount(idx, minlength=len(buckets)), means=means)
+
+
 # buckets of a sensitivity table whose series differ in their drift parameter
 SENSITIVITY_BUCKETS = 10
 
@@ -632,53 +646,34 @@ SENSITIVITY_BUCKETS = 10
 def drift_sensitivity(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str = "rmse") -> SensitivityTable:
     """Bucket series by drift point (sudden) or drift length
     (incremental) and average the chosen metric per bucket."""
-    per_series = _per_series(dataset, report, metric)
-    _, values = _drift_parameter(dataset)
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        edges = np.array([lo, hi])
-        idx = np.zeros(len(values), dtype=int)
-        n_buckets = 1
-    else:
-        n_buckets = SENSITIVITY_BUCKETS
-        edges = np.linspace(lo, hi, n_buckets + 1)
-        idx = np.minimum(((values - lo) / (hi - lo) * n_buckets).astype(int), n_buckets - 1)
-    counts = np.bincount(idx, minlength=n_buckets)
-    means = {}
-    for name in report.methods:
-        vals = per_series[name]
-        bucket_means = np.full(n_buckets, np.nan)
-        for bucket in range(n_buckets):
-            mask = (idx == bucket) & np.isfinite(vals)
-            if np.any(mask):
-                bucket_means[bucket] = float(np.mean(vals[mask]))
-        means[name] = bucket_means
-    return SensitivityTable(edges=edges, counts=counts, means=means, methods=report.methods)
+
+    def equal_width(parameter: str, values: np.ndarray) -> tuple:
+        lo, hi = float(values.min()), float(values.max())
+        n = SENSITIVITY_BUCKETS if hi > lo else 1  # one bucket when every series shares its value
+        return np.linspace(lo, hi, n + 1), np.minimum(((values - lo) / ((hi - lo) or 1.0) * n).astype(int), n - 1)
+
+    return _bucket_means(dataset, report, metric, equal_width)
 
 
 def drift_region_split(dataset: Dataset | SeriesIndex, report: EvalReport, metric: str = "rmse") -> dict:
     """Per-method mean metric for series whose sudden drift lands in
     the test region vs the first half of training, plus the excess."""
-    per_series = _per_series(dataset, report, metric)
-    parameter, values = _drift_parameter(dataset)
-    if parameter != "t_drift":
-        raise ConfigError("drift-region split needs a sudden-drift dataset")
-    train_len = dataset.train_len
-    early = values <= train_len / 2.0
-    test = values > train_len
-    if not np.any(early) or not np.any(test):
+
+    def regions(parameter: str, values: np.ndarray) -> tuple:
+        if parameter != "t_drift":
+            raise ConfigError("drift-region split needs a sudden-drift dataset")
+        # buckets early (t_drift <= train_len / 2), neither, and test (t_drift >
+        # train_len): searchsorted puts a value equal to an inner edge below it
+        edges = np.array([-np.inf, dataset.train_len / 2.0, dataset.train_len, np.inf])
+        return edges, np.searchsorted(edges[1:-1], values)
+
+    table = _bucket_means(dataset, report, metric, regions)
+    if not table.counts[0] or not table.counts[2]:
         raise ConfigError("dataset lacks series in one of the drift regions")
-    out = {}
-    for name in report.methods:
-        vals = per_series[name]
-        early_mean = float(np.mean(vals[early & np.isfinite(vals)]))
-        test_mean = float(np.mean(vals[test & np.isfinite(vals)]))
-        out[name] = {
-            "early_train": early_mean,
-            "test_region": test_mean,
-            "excess": test_mean - early_mean,
-        }
-    return out
+    return {
+        name: {"early_train": float(early), "test_region": float(test), "excess": float(test - early)}
+        for name, (early, _, test) in table.means.items()
+    }
 
 
 TRACE_COLUMNS = {"series_id": object, "method": object, "t": np.int64, "actual": np.float64, "prediction": np.float64}

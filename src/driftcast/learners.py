@@ -260,6 +260,10 @@ def predict_one(model: ForecastModel, history: Sequence[float]) -> float:
         p = model.spec.p
         if len(history) < p:
             raise ConfigError(f"need at least {p} observations of history")
+        # the lags as a reversed view: its negative stride keeps numpy's dot
+        # off BLAS, so the dot sums coef[k] * lag_{k+1} in lag order from
+        # zero, as the engine does. A contiguous copy of the view would go
+        # to BLAS, whose summation order can change the last bits
         return float(model.intercept + model.coef @ history[-1 : -p - 1 : -1])
     if len(history) < model.fitted_through:
         raise ConfigError("history is shorter than the data the model was fitted on")

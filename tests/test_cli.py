@@ -192,6 +192,9 @@ class TestValidation:
             ({"methods": [{"eta": 0.1}]}, "methods[0] has no 'name'"),
             ({"evaluate": {"global_lags": 0}}, "evaluate: global_lags must be >= 1"),
             ({"methods": [{"name": "GDW"}, {"name": "ECW"}, {"name": "GDW"}]}, "methods[2] repeats method 'GDW'"),
+            ({"methods": [{"name": "GDW"}, {"name": "ECW", "eta": 5.0, "clamp": True}]}, "methods[1]: ECW takes no 'eta'"),
+            ({"methods": [{"name": "AR3_All", "true_gradient": True}]}, "methods[0]: AR3_All takes no 'true_gradient'"),
+            ({"methods": [{"name": "Oracle", "clamp": False}]}, "methods[0]: Oracle takes no 'clamp'"),
         ],
         ids=[
             "n_series",
@@ -210,6 +213,9 @@ class TestValidation:
             "method_without_name",
             "global_lags",
             "repeated_method",
+            "ecw_eta",
+            "ar_true_gradient",
+            "oracle_default_clamp",
         ],
     )
     def test_range_checks_name_the_value(self, override, message):

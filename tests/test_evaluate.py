@@ -641,6 +641,22 @@ class TestSensitivity:
         with pytest.raises(ConfigError):
             drift_region_split(ds, report)
 
+    def test_region_without_a_finite_score_reads_nan(self):
+        ds = tiny_dataset(n_series=30)
+        cfg = EvalConfig(horizon=30, block_size=10, methods=specs("AR3_All", "Plain_All"))
+        report = build_report(prequential_run(ds, cfg))
+        t_drift = np.array([drift.t_drift for drift in ds.drifts])
+        early = t_drift <= ds.train_len / 2
+        assert early.any() and (t_drift > ds.train_len).any()
+        report.rmse_per_series["AR3_All"][early] = np.nan  # AR3_All failed on every early-drift series
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = drift_region_split(ds, report)
+        assert np.isnan(split["AR3_All"]["early_train"]) and np.isnan(split["AR3_All"]["excess"])
+        test = report.rmse_per_series["AR3_All"][t_drift > ds.train_len]
+        assert split["AR3_All"]["test_region"] == float(np.mean(test))
+        assert all(np.isfinite(v) for v in split["Plain_All"].values())
+
 
 def reference_trace_csv(run, path):
     """The per-row writer that ``write_traces`` replaced: the oracle for
