@@ -234,6 +234,8 @@ def validate_config(document: dict) -> RunConfig:
     sim_section = document.get("simulate", {})
     if not isinstance(sim_section, dict):
         raise ConfigError("simulate section must map drift kinds to configs")
+    if not sim_section:
+        raise ConfigError("config has no simulate section")
     sim_configs = {kind: _build(SimConfig, section, f"simulate.{kind}", drift_kind=kind) for kind, section in sim_section.items()}
 
     methods_section = document.get("methods")
@@ -273,8 +275,10 @@ def apply_seed_override(document: dict, env: dict | None = None) -> dict:
         return document
     try:
         seed = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 2**64:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer in [0, 2**64), got {raw!r}")
     document = copy.deepcopy(document)
     simulate = document.get("simulate")
     if isinstance(simulate, dict):
@@ -321,8 +325,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> dict[str, tuple[int, int]]:
     """Generate and write every configured dataset, one kind at a time,
     and return each kind's (n_series, series_length). Idempotent:
     identical configs produce byte-identical files."""
-    if not cfg.sim_configs:
-        raise ConfigError("config has no simulate section")
     shapes = {}
     for kind, sim in cfg.sim_configs.items():
         dataset = _simulate(sim, out_dir)
@@ -387,8 +389,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> dict:
     ``simulate``, ``evaluate`` the engine's phases and ``scoring``,
     ``traces`` ``write_traces`` and ``reports`` ``rendering``; the last
     two also hold the ``hashing`` of the files they wrote."""
-    if not cfg.sim_configs:
-        raise ConfigError("config has no simulate section")
     (out_dir / "traces").mkdir(parents=True, exist_ok=True)
     spans = Spans()
     results: dict[str, KindResults] = {}
@@ -604,20 +604,13 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
 
 def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Re-render reports from stored traces and dataset sidecars. Each
-    kind is scored from its trace and its sidecar's
-    :class:`SeriesIndex`; the dataset CSV is never opened."""
-    traces_dir = out_dir / "traces"
-    if not traces_dir.exists():
-        raise ConfigError(f"no traces directory under {out_dir}")
+    configured kind is scored from its trace and its sidecar's
+    :class:`SeriesIndex`; the dataset CSV is never opened. A kind
+    without its sidecar or trace fails before any report is written."""
     results = {}
-    for kind in cfg.sim_configs or dict.fromkeys(SIM_DRIFT_KINDS):
-        trace_path = traces_dir / f"{kind}.csv"
-        if not trace_path.exists():
-            continue
+    for kind in cfg.sim_configs:
         index = SeriesIndex.from_sidecar(read_sidecar(dataset_paths(out_dir, kind)[0]))
-        results[kind] = score_kind(index, load_traces(trace_path, index), cfg.stats.alpha)
-    if not results:
-        raise ConfigError(f"no trace files found in {traces_dir}")
+        results[kind] = score_kind(index, load_traces(out_dir / "traces" / f"{kind}.csv", index), cfg.stats.alpha)
     return render_reports(cfg, out_dir, results)
 
 

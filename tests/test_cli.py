@@ -54,6 +54,13 @@ def tiny_document(**overrides):
     return deep_merge(doc, overrides)
 
 
+# config documents that name no drift kind: one without a simulate section, one with an empty one
+KINDLESS = {
+    "absent": {key: value for key, value in tiny_document().items() if key != "simulate"},
+    "empty": tiny_document() | {"simulate": {}},
+}
+
+
 class TestValidation:
     def test_presets_validate(self):
         for name in PRESETS:
@@ -166,6 +173,11 @@ class TestValidation:
             if record.family == "global_ar":
                 cfg.global_spec(name)
 
+    @pytest.mark.parametrize("doc", KINDLESS.values(), ids=KINDLESS)
+    def test_config_without_kinds(self, doc):
+        with pytest.raises(ConfigError, match="^config has no simulate section$"):
+            validate_config(doc)
+
     def test_alpha_range(self):
         with pytest.raises(ConfigError):
             validate_config(tiny_document(stats={"alpha": 1.5}))
@@ -246,8 +258,12 @@ class TestConfigPlumbing:
         out = apply_seed_override(doc, env={"DRIFTCAST_SEED": "777"})
         assert all(s["base_seed"] == 777 for s in out["simulate"].values())
         assert doc["simulate"]["sudden"]["base_seed"] == 11
-        with pytest.raises(ConfigError):
-            apply_seed_override(doc, env={"DRIFTCAST_SEED": "not-a-number"})
+        assert apply_seed_override(doc, env={"DRIFTCAST_SEED": str(2**64 - 1)})["simulate"]["sudden"]["base_seed"] == 2**64 - 1
+        # the message names the variable, not a config key the user never wrote
+        for raw in ("not-a-number", "-1", str(2**64)):
+            message = f"DRIFTCAST_SEED must be an integer in [0, 2**64), got {raw!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                apply_seed_override(doc, env={"DRIFTCAST_SEED": raw})
 
     @pytest.mark.parametrize("simulate", [[1], {"sudden": 5}])
     def test_seed_env_leaves_malformed_simulate_to_validation(self, tmp_path, monkeypatch, simulate):
@@ -745,17 +761,29 @@ class TestMainExitCodes:
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["report", "--config", str(path), "--out", str(out)]) == 1
-        assert f"config error: no trace files found in {out / 'traces'}" in capsys.readouterr().err
+        assert f"config error: sidecar {out / 'datasets' / 'incremental.meta.json'} is missing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "run"])
-    def test_config_without_simulate_section_fails(self, tmp_path, capsys, command):
-        doc = tiny_document()
-        del doc["simulate"]
+    def test_report_missing_one_kinds_trace_fails_and_rewrites_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "config error: config has no simulate section" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        path.write_text(json.dumps(tiny_document()))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        trace = out / "traces" / "gradual.csv"
+        trace.unlink()
+        reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+        capsys.readouterr()
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: trace file missing: {trace}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
+
+    @pytest.mark.parametrize("command", ["simulate", "run", "report"])
+    def test_config_without_simulate_section_fails(self, tmp_path, capsys, command):
+        for doc in KINDLESS.values():
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+            assert "config error: config has no simulate section" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "run"])
     @pytest.mark.parametrize("method", ["AR3_200", "EXP_All"])

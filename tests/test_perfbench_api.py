@@ -7,7 +7,8 @@ silently zero a layer metric. ``perfbench/oracle.py`` imports the
 scalar oracles and reads a loaded dataset's ``train_len`` and
 ``Dataset.series``. These tests read both files' source, so that they
 follow the benchmark without restating it, and fail when the package
-drops a name either one uses.
+drops a name either one uses. ``perfbench/workloads.py`` holds the
+config document of each workload, which the config reader must accept.
 """
 
 import ast
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from driftcast import evaluate, learners
+from driftcast.cli import validate_config
 from driftcast.core import load_dataset, save_dataset
 from driftcast.evaluate import EvalConfig, MethodSpec, prequential_run
 from driftcast.learners import WINDOW_ALL, WINDOW_LAST_200, LearnerSpec
@@ -179,3 +181,11 @@ def test_traced_report_reads_each_trace_once(tmp_path):
     assert traced["stats"]["evaluate.load_traces"]["calls"] == len(kinds)
     rows = len(kinds) * len(doc["methods"]) * sim["n_series"] * doc["evaluate"]["horizon"]
     assert traced["counts"]["evaluate.load_traces.rows"] == rows
+
+
+def test_workload_configs_validate(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        assert validate_config(workload.config).sim_configs, workload.name
