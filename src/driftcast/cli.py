@@ -604,13 +604,16 @@ def render_reports(cfg: RunConfig, out_dir: Path, results: dict) -> list[Path]:
 
 def cmd_report(cfg: RunConfig, out_dir: Path) -> list[Path]:
     """Re-render reports from stored traces and dataset sidecars. Each
-    configured kind is scored from its trace and its sidecar's
-    :class:`SeriesIndex`; the dataset CSV is never opened. A kind
-    without its sidecar or trace fails before any report is written."""
+    configured kind is scored from its trace, read as the config's
+    methods and horizon over its sidecar's :class:`SeriesIndex`; the
+    dataset CSV is never opened. A kind without its sidecar or trace, or
+    whose trace holds another run, fails before any report is written."""
+    methods, horizon = [m.name for m in cfg.eval_config.methods], cfg.eval_config.horizon
     results = {}
     for kind in cfg.sim_configs:
         index = SeriesIndex.from_sidecar(read_sidecar(dataset_paths(out_dir, kind)[0]))
-        results[kind] = score_kind(index, load_traces(out_dir / "traces" / f"{kind}.csv", index), cfg.stats.alpha)
+        run = load_traces(out_dir / "traces" / f"{kind}.csv", index, methods, horizon)
+        results[kind] = score_kind(index, run, cfg.stats.alpha)
     return render_reports(cfg, out_dir, results)
 
 

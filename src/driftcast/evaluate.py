@@ -127,15 +127,13 @@ DEFAULT_PAIRINGS = tuple((METHODS[partial].weighting, METHODS[full].weighting) f
 
 
 def method_group(name: str) -> str:
-    """Report group of a method; names outside the table (from a
-    hand-made trace file) are diagnostic."""
-    return METHODS[name].group if name in METHODS else "diagnostic"
+    """Report group of a method of the table."""
+    return METHODS[name].group
 
 
 def report_order(names) -> list:
-    """``names`` in table order, followed by names outside the table in
-    their given order."""
-    return [m for m in METHODS if m in names] + [m for m in names if m not in METHODS]
+    """``names``, each a method of the table, in table order."""
+    return [m for m in METHODS if m in names]
 
 
 @dataclass(frozen=True)
@@ -220,10 +218,13 @@ class RunResult:
     every recorded step, held once for all pairings and combiners.
 
     A run loaded from a trace file (:func:`load_traces`) has its
-    sidecar's series, in the sidecar's order, and its ``train_len``; the
-    trace must hold the sidecar's test region. It carries neither fit
-    counts nor failures: both dicts are empty, and a failed series shows
-    only as a non-finite forecast."""
+    sidecar's series, in the sidecar's order, and its ``train_len``, and
+    the config's methods, in the config's order, and its ``horizon``. The
+    trace must hold every (method, series, position) cell of that test
+    region once, so a pair absent from it is rejected, not read as a
+    failed series. The run carries neither fit counts nor failures: both
+    dicts are empty, and a failed series shows only as a non-finite
+    forecast."""
 
     series_ids: tuple
     methods: tuple
@@ -730,28 +731,35 @@ def write_weight_traces(directory: str | Path, kind: str, run: RunResult) -> lis
     return list(paths.values())
 
 
-def load_traces(path: str | Path, index: SeriesIndex) -> RunResult:
-    """Rebuild the run of ``index``'s series from a trace CSV, without
-    fit counts or failures. The trace must hold the sidecar's test
-    region: a row for every series of ``index`` and for no other
-    series, each (method, series) the positions t = train_len + 1 ..
-    train_len + horizon once each, with one horizon for all, and every
-    method a series' same actuals. The rows may come in any order; the
-    series keep ``index``'s order and the methods that of their first
-    row. Each chunk is scattered into (method, series, t) arrays whose
-    series and position axes ``index`` fixes; only the method axis
-    grows."""
+def load_traces(path: str | Path, index: SeriesIndex, methods: Sequence[str], horizon: int) -> RunResult:
+    """Rebuild the run of ``index``'s series under the config's
+    ``methods`` and ``horizon`` from a trace CSV, without fit counts or
+    failures. The trace must hold exactly the test region of that run:
+    for every configured method and every series of ``index``, the
+    positions t = train_len + 1 .. train_len + horizon once each, and no
+    other row, with every method a series' same actuals. The rows may
+    come in any order; the series keep ``index``'s order and the methods
+    the config's. The (method, series, t) arrays are sized once, from
+    those three, and each chunk is scattered into them."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"trace file missing: {path}")
     row_of = {sid: i for i, sid in enumerate(index.ids)}
-    methods: dict[str, int] = {}
-    lo, hi = index.train_len + 1, index.series_length  # the test region's positions t
-    # each position needs a row, of more than a byte, so no trace holds more positions than bytes
-    width = min(hi - lo + 1, path.stat().st_size)
-    counts = np.zeros((0, len(row_of), width), dtype=np.uint8)  # rows read per (method, series, t), up to 2
-    predictions = np.zeros(counts.shape)
-    actuals = np.full(counts.shape[1:], np.nan)  # per (series, t), from the first row that holds it
+    method_of = {name: j for j, name in enumerate(methods)}
+    lo, hi = index.train_len + 1, index.train_len + horizon  # the test region's positions t
+    if hi > index.series_length:
+        raise ConfigError(f"test region t={lo}..{hi} runs past the {index.series_length} positions of the sidecar of {path}")
+    shape, size = (len(methods), len(row_of), horizon), path.stat().st_size
+    # each cell needs a row of its own, of more than a byte: the config and
+    # the sidecar size the arrays, which must not outgrow the file that fills them
+    if len(methods) * len(row_of) * horizon > size:
+        raise ConfigError(
+            f"{len(methods)} methods of {len(row_of)} series of {horizon} positions "
+            f"are more rows than the {size} bytes of {path} can hold"
+        )
+    counts = np.zeros(shape, dtype=np.uint8)  # rows read per (method, series, t), up to 2
+    predictions = np.empty(shape)
+    actuals = np.empty(shape[1:])  # per (series, t), from the first row that holds it
     differ = None  # a series whose actuals differ between rows
     for chunk in read_csv(path, TRACE_COLUMNS):
         sid, name, t, actual = chunk["series_id"], chunk["method"], chunk["t"], chunk["actual"]
@@ -759,43 +767,27 @@ def load_traces(path: str | Path, index: SeriesIndex) -> RunResult:
         for k in starts:
             if sid[k] not in row_of:
                 raise ConfigError(f"trace file {path} holds series {sid[k]!r} absent from its sidecar")
+            if name[k] not in method_of:
+                raise ConfigError(f"trace file {path} holds method {name[k]!r} absent from the config")
         s = np.repeat([row_of[sid[k]] for k in starts], stops - starts)
-        m = np.repeat([methods.setdefault(name[k], len(methods)) for k in starts], stops - starts)
+        m = np.repeat([method_of[name[k]] for k in starts], stops - starts)
         outside = (t < lo) | (t > hi)
         if outside.any():
             raise ConfigError(f"trace file {path} holds t={t[np.argmax(outside)]} outside the test region t={lo}..{hi}")
         col = t - lo
-        if col.max() >= width:
-            raise ConfigError(f"positions t={lo}..{t.max()} span more rows than {path} holds")
-        if len(methods) > len(counts):  # a new method: grow in place, to a power of two so that it grows rarely
-            grown, shape = len(counts), (1 << (len(methods) - 1).bit_length(),) + counts.shape[1:]
-            counts.resize(shape, refcheck=False)
-            predictions.resize(shape, refcheck=False)
-            predictions[grown:] = np.nan
         new = ~counts[:, s, col].any(axis=0)
         actuals[s[new], col[new]] = actual[new]
         kept = actuals[s, col]
         mismatch = (kept != actual) & ~(np.isnan(kept) & np.isnan(actual))
         if differ is None and mismatch.any():
             differ = sid[np.argmax(mismatch)]
-        cells, times = np.unique(np.ravel_multi_index((m, s, col), counts.shape), return_counts=True)
+        cells, times = np.unique(np.ravel_multi_index((m, s, col), shape), return_counts=True)
         counts.flat[cells] = np.minimum(counts.flat[cells] + times, 2)
         predictions[m, s, col] = chunk["prediction"]
-    if not methods:
-        raise ConfigError(f"trace file {path} holds no rows")
-    counts = counts[: len(methods)]
-    rows = counts.sum(axis=2)
-    missing = np.flatnonzero(~rows.any(axis=0))
-    if missing.size:
-        raise ConfigError(f"trace file {path} lacks series {index.ids[missing[0]]!r} of its sidecar")
-    horizon = int(rows.max())
-    if np.any(rows[rows > 0] != horizon):
-        raise ConfigError("inconsistent horizon lengths across traces")
-    # a horizon wider than the arrays leaves a position read twice, which this rejects too
-    wrong = np.argwhere((rows > 0) & np.any(counts != (np.arange(width) < horizon), axis=2))
+    wrong = np.argwhere(np.any(counts != 1, axis=2))
     if wrong.size:
-        name, sid = list(methods)[wrong[0, 0]], index.ids[wrong[0, 1]]
-        raise ConfigError(f"trace of ({name!r}, {sid!r}) does not hold t={lo}..{lo + horizon - 1} once each in {path}")
+        name, sid = methods[wrong[0, 0]], index.ids[wrong[0, 1]]
+        raise ConfigError(f"trace of ({name!r}, {sid!r}) does not hold t={lo}..{hi} once each in {path}")
     if differ is not None:
         raise ConfigError(f"actuals of series {differ!r} differ between methods in {path}")
     return RunResult(
@@ -803,8 +795,8 @@ def load_traces(path: str | Path, index: SeriesIndex) -> RunResult:
         methods=tuple(methods),
         train_len=index.train_len,
         horizon=horizon,
-        actuals=actuals[:, :horizon],
-        predictions={name: predictions[j, :, :horizon] for name, j in methods.items()},
+        actuals=actuals,
+        predictions={name: predictions[j] for j, name in enumerate(methods)},
         fit_counts={},
         failures={},
     )

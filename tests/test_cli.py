@@ -776,6 +776,37 @@ class TestMainExitCodes:
         assert f"config error: trace file missing: {trace}" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
 
+    @pytest.mark.parametrize(
+        "drop, overrides, message",
+        [
+            (lambda sid, method: method == "GDW", {}, "trace of ('GDW', 'sudden_0000') does not hold t=91..120 once each in {trace}"),
+            (
+                lambda sid, method: (method, sid) == ("AR3_All", "sudden_0001"),
+                {},
+                "trace of ('AR3_All', 'sudden_0001') does not hold t=91..120 once each in {trace}",
+            ),
+            (None, {"evaluate": {"horizon": 20}}, "trace file {trace} holds t=111 outside the test region t=91..110"),
+            (None, {"methods": [{"name": "AR3_All"}]}, "trace file {trace} holds method 'Plain_All' absent from the config"),
+        ],
+        ids=["no-GDW-rows", "one-pair-deleted", "horizon-20", "methods-AR3_All"],
+    )
+    def test_report_of_a_trace_unlike_the_config_fails_and_rewrites_nothing(self, tmp_path, capsys, drop, overrides, message):
+        # the trace must hold the config's methods x the sidecar's series x
+        # evaluate.horizon positions, each once: a pair is never read as failed
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_document()))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        trace = out / "traces" / "sudden.csv"
+        header, *rows = trace.read_text().splitlines(keepends=True)
+        trace.write_text(header + "".join(row for row in rows if not (drop and drop(*row.split(",")[:2]))))
+        path.write_text(json.dumps(tiny_document(**overrides)))
+        reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+        capsys.readouterr()
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: {message.format(trace=trace)}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
+
     @pytest.mark.parametrize("command", ["simulate", "run", "report"])
     def test_config_without_simulate_section_fails(self, tmp_path, capsys, command):
         for doc in KINDLESS.values():

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import re
 import tempfile
 import warnings
@@ -790,26 +791,41 @@ def trace_rows(run):
     ]
 
 
-def reference_in_index(run, index):
-    """The oracle's run as ``load_traces`` reads it against the sidecar's
-    ``index``: its series in the index's order. A trace of other series,
-    of another ``train_len`` or past the series' end is rejected."""
+def trace_pairs(path):
+    """The (method, series) pairs that a trace file's rows name."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return {(name, sid) for sid, name, *_ in itertools.islice(csv.reader(fh), 1, None)}
+
+
+def reference_in_index(path, index, methods, horizon):
+    """The oracle's run of a trace file as ``load_traces`` reads it
+    against the sidecar's ``index`` and the config's ``methods`` and
+    ``horizon``: its series in the index's order, its methods in the
+    config's. A trace of other series, of another ``train_len``, past
+    the series' end, of other methods or of another horizon is
+    rejected, and so is one that lacks a (method, series) pair."""
+    run = reference_load_traces(path)
     if set(run.series_ids) != set(index.ids) or run.train_len != index.train_len:
         raise ConfigError("the trace holds other series or another train_len than its sidecar")
     if run.train_len + run.horizon > index.series_length:
         raise ConfigError("the trace holds positions past the end of its sidecar's series")
+    if set(run.methods) != set(methods) or run.horizon != horizon:
+        raise ConfigError("the trace holds other methods or another horizon than its config")
+    if len(trace_pairs(path)) != len(methods) * len(index.ids):
+        raise ConfigError("the trace lacks a (method, series) pair")
     order = [run.series_ids.index(sid) for sid in index.ids]
-    predictions = {name: forecasts[order] for name, forecasts in run.predictions.items()}
-    return dataclasses.replace(run, series_ids=index.ids, actuals=run.actuals[order], predictions=predictions)
+    predictions = {name: run.predictions[name][order] for name in methods}
+    return dataclasses.replace(run, series_ids=index.ids, methods=tuple(methods), actuals=run.actuals[order], predictions=predictions)
 
 
-def load_both(path, index):
-    """``load_traces`` and the oracle composed with ``index`` on one
-    file: each result, or the ConfigError it raised."""
+def load_both(path, index, methods, horizon):
+    """``load_traces`` and the oracle composed with ``index``,
+    ``methods`` and ``horizon`` on one file: each result, or the
+    ConfigError it raised."""
     outcomes = []
-    for load in (load_traces, lambda path, index: reference_in_index(reference_load_traces(path), index)):
+    for load in (load_traces, reference_in_index):
         try:
-            outcomes.append(load(path, index))
+            outcomes.append(load(path, index, methods, horizon))
         except ConfigError as exc:
             outcomes.append(exc)
     return outcomes
@@ -841,7 +857,7 @@ class TestTraceIO:
             write_traces(path, run)
             reference_trace_csv(run, tmp_path / "reference.csv")
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-            loaded = load_traces(path, run_index(run))
+            loaded = load_traces(path, run_index(run), run.methods, run.horizon)
             assert loaded.methods == run.methods
             assert loaded.series_ids == run.series_ids
             assert loaded.train_len == run.train_len
@@ -885,7 +901,7 @@ class TestTraceIO:
         predictions = {name: data.draw(arrays(np.float64, shape, elements=FLOATS)) for name in methods}
         run = hand_made_run(series_ids, data.draw(st.integers(1, 10**6)), actuals, predictions)
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = load_traces(write_traces(f"{tmp}/traces.csv", run), run_index(run))
+            loaded = load_traces(write_traces(f"{tmp}/traces.csv", run), run_index(run), methods, shape[1])
         assert (loaded.series_ids, loaded.methods) == (run.series_ids, run.methods)
         assert (loaded.train_len, loaded.horizon) == (run.train_len, run.horizon)
         for got, expected in [(loaded.actuals, actuals)] + [(loaded.predictions[m], predictions[m]) for m in methods]:
@@ -900,18 +916,18 @@ class TestTraceIO:
     def test_malformed_row_rejected(self, tmp_path, row):
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", row])
         with pytest.raises(ConfigError, match=re.escape(f"line 3 of {path}")):
-            load_traces(path, index_of(["a"], 10, 12))
+            load_traces(path, index_of(["a"], 10, 12), ["M"], 2)
 
     def test_train_len_is_the_sidecars(self, tmp_path):
         path = write_trace_text(tmp_path / "t.csv", ["a,M,12,2.0,2.5", "a,M,11,1.0,1.5", "b,M,11,3.0,3.5", "b,M,12,4.0,4.5"])
-        run = load_traces(path, index_of(["a", "b"], 10, 12))
+        run = load_traces(path, index_of(["a", "b"], 10, 12), ["M"], 2)
         assert run.train_len == 10
         assert np.array_equal(run.actuals, [[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(run.predictions["M"], [[1.5, 2.5], [3.5, 4.5]])
         # t = 11, 12 start no other sidecar's test region
         for train_len in (9, 11):
             with pytest.raises(ConfigError, match=re.escape(str(path))):
-                load_traces(path, index_of(["a", "b"], train_len, 12))
+                load_traces(path, index_of(["a", "b"], train_len, 12), ["M"], 2)
 
     @pytest.mark.parametrize(
         "rows",
@@ -924,15 +940,16 @@ class TestTraceIO:
     )
     def test_inconsistent_rows_rejected(self, tmp_path, rows):
         index = index_of(sorted({row.split(",")[0] for row in rows}), 10, 50)
+        methods = sorted({row.split(",")[1] for row in rows})
         with pytest.raises(ConfigError):
-            load_traces(write_trace_text(tmp_path / "t.csv", rows), index)
+            load_traces(write_trace_text(tmp_path / "t.csv", rows), index, methods, 2)
 
     @pytest.mark.parametrize("t", [9, 10, 14, 10**15])
     def test_position_outside_the_test_region_rejected(self, tmp_path, t):
         # train_len 10 of 13 positions: the test region is t = 11..13
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "a,M,12,2.0,2.5", f"a,M,{t},3.0,3.5"])
         with pytest.raises(ConfigError, match=re.escape(f"{path} holds t={t} outside the test region t=11..13")):
-            load_traces(path, index_of(["a"], 10, 13))
+            load_traces(path, index_of(["a"], 10, 13), ["M"], 3)
 
     def test_reports_recomputable_from_traces(self, tmp_path):
         ds = tiny_dataset()
@@ -941,13 +958,13 @@ class TestTraceIO:
         path = tmp_path / "traces.csv"
         write_traces(path, run)
         direct = build_report(run)
-        replayed = build_report(load_traces(path, ds.index))
+        replayed = build_report(load_traces(path, ds.index, run.methods, cfg.horizon))
         for name in direct.methods:
             assert direct.summary[name] == replayed.summary[name]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_traces(tmp_path / "nope.csv", index_of(["a"], 10, 12))
+            load_traces(tmp_path / "nope.csv", index_of(["a"], 10, 12), ["M"], 2)
 
 
 class TestWeightTraces:
@@ -1145,16 +1162,27 @@ class TestTraceReader:
         order = data.draw(st.permutations(series_ids))
         train_len = max(1, run.train_len + data.draw(st.sampled_from([0, 0, 0, -1, 1])))
         index = index_of(order, train_len, run.train_len + shape[1] + data.draw(st.integers(0, 3)))
+        # the config: the methods in any order, now and then one left out
+        # (a config names one at least) or one more, and now and then
+        # another horizon
+        config_methods = data.draw(st.permutations(methods))
+        change = data.draw(st.sampled_from([None, None, None, "less", "more"]))
+        if change == "less" and len(methods) > 1:
+            del config_methods[data.draw(st.integers(0, len(methods) - 1))]
+        elif change == "more":
+            config_methods.append(data.draw(TRACE_IDS.filter(lambda name: name not in methods)))
+        horizon = max(1, shape[1] + data.draw(st.sampled_from([0, 0, 0, -1, 1])))
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "CSV_CHUNK_ROWS", data.draw(st.integers(1, 7)))
-            got, expected = load_both(write_rows(Path(tmp) / "traces.csv", list(evaluate.TRACE_COLUMNS), rows), index)
+            path = write_rows(Path(tmp) / "traces.csv", list(evaluate.TRACE_COLUMNS), rows)
+            got, expected = load_both(path, index, config_methods, horizon)
         if isinstance(expected, ConfigError):
             assert isinstance(got, ConfigError)
         else:
             assert not isinstance(got, ConfigError), got
             assert_same_run(got, expected)
             if fault is None and not shuffled:  # the run written, but for NaN payloads: repr writes "nan"
-                assert (got.series_ids, got.methods, got.train_len) == (tuple(order), run.methods, run.train_len)
+                assert (got.series_ids, got.methods, got.train_len) == (tuple(order), tuple(config_methods), run.train_len)
                 rows_of = [series_ids.index(sid) for sid in order]
                 for value, written in [(got.actuals, actuals)] + [(got.predictions[m], predictions[m]) for m in methods]:
                     written = written[rows_of]
@@ -1172,59 +1200,67 @@ class TestTraceReader:
         path.write_text("series_id,method,t,actual,prediction\n" + "".join(rows), encoding="utf-8", newline="")
         monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
         with pytest.raises(ConfigError, match=re.escape(f"malformed row at line {at + 2} of {path}")):
-            load_traces(path, index_of(["x\ny", "a"], 10, 13))
+            load_traces(path, index_of(["x\ny", "a"], 10, 13), ["M"], 3)
 
     def test_blank_line_is_skipped(self, tmp_path):
         # the row-by-row loader rejected a blank line (exit 1); loadtxt skips it
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "", "a,M,12,2.0,2.5"])
-        got, expected = load_both(path, index_of(["a"], 10, 12))
+        got, expected = load_both(path, index_of(["a"], 10, 12), ["M"], 2)
         assert isinstance(expected, ConfigError) and "line 3" in str(expected)
         assert np.array_equal(got.predictions["M"], [[1.5, 2.5]])
 
     def test_underscore_in_a_number_is_malformed(self, tmp_path):
         # float() reads "1_0" as 10.0; loadtxt rejects it
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "a,M,12,2.0,1_0"])
-        got, expected = load_both(path, index_of(["a"], 10, 12))
+        got, expected = load_both(path, index_of(["a"], 10, 12), ["M"], 2)
         assert expected.predictions["M"][0, 1] == 10.0
         assert isinstance(got, ConfigError) and f"malformed row at line 3 of {path}" in str(got)
 
     @pytest.mark.parametrize("chunk", [1, 64])
-    def test_pair_absent_from_the_file_reads_nan(self, tmp_path, monkeypatch, chunk):
+    def test_pair_absent_from_the_file_rejected(self, tmp_path, monkeypatch, chunk):
         # method N turns up after every series, and never for series b
         monkeypatch.setattr(core, "CSV_CHUNK_ROWS", chunk)
         rows = ["a,M,11,1.0,1.5", "b,M,11,2.0,2.5", "a,N,11,1.0,1.0"]
-        got, expected = load_both(write_trace_text(tmp_path / "t.csv", rows), index_of(["a", "b"], 10, 11))
-        assert_same_run(got, expected)
-        assert np.array_equal(got.predictions["N"], [[1.0], [np.nan]], equal_nan=True)
+        path = write_trace_text(tmp_path / "t.csv", rows)
+        got, expected = load_both(path, index_of(["a", "b"], 10, 11), ["M", "N"], 1)
+        assert isinstance(expected, ConfigError)
+        assert isinstance(got, ConfigError) and f"trace of ('N', 'b') does not hold t=11..11 once each in {path}" in str(got)
 
     def test_far_positions_rejected_before_any_array_is_sized(self, tmp_path):
-        # a sidecar series_length of 10**15 sizes no array: the position
-        # axis stops at the trace file's byte count
+        # a sidecar series_length of 10**15 sizes no array: the config's
+        # horizon sizes the position axis
         index = index_of(["a"], 10, 10**15)
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "a,M,12,2.0,2.5"])
-        run = load_traces(path, index)
+        run = load_traces(path, index, ["M"], 2)
         assert (run.train_len, run.horizon) == (10, 2)
         assert np.array_equal(run.predictions["M"], [[1.5, 2.5]])
-        assert run.actuals.base.shape[-1] <= path.stat().st_size
+        assert run.actuals.shape == (1, 2)
+        # and a horizon of more positions than the file holds bytes sizes none either
+        with pytest.raises(ConfigError, match=re.escape(f"more rows than the {path.stat().st_size} bytes of {path} can hold")):
+            load_traces(path, index, ["M"], 10**12)
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", f"a,M,{10**15},2.0,2.5"])
-        with pytest.raises(ConfigError, match="span more rows than"):
-            load_traces(path, index)
+        with pytest.raises(ConfigError, match=re.escape(f"{path} holds t={10**15} outside the test region t=11..12")):
+            load_traces(path, index, ["M"], 2)
 
     def test_positions_may_come_before_the_first(self, tmp_path, monkeypatch):
         # a later chunk holds smaller t, and the sidecar's order is not the file's
         monkeypatch.setattr(core, "CSV_CHUNK_ROWS", 2)
-        rows = ["b,N,13,3.0,3.5", "b,N,14,4.0,4.5", "a,M,13,3.0,3.0", "a,M,14,4.0,4.0", "a,M,12,2.0,2.0", "a,M,11,1.0,1.0"]
-        rows += ["b,N,12,2.0,2.5", "b,N,11,1.0,1.5"]
-        run = load_traces(write_trace_text(tmp_path / "t.csv", rows), index_of(["a", "b"], 10, 14))
-        assert (run.series_ids, run.methods, run.train_len, run.horizon) == (("a", "b"), ("N", "M"), 10, 4)
-        assert np.array_equal(run.predictions["M"], [[1.0, 2.0, 3.0, 4.0], [np.nan] * 4], equal_nan=True)
+        rows = ["b,M,13,3.0,3.5", "b,M,14,4.0,4.5", "a,M,13,3.0,3.0", "a,M,14,4.0,4.0", "a,M,12,2.0,2.0", "a,M,11,1.0,1.0"]
+        rows += ["b,M,12,2.0,2.5", "b,M,11,1.0,1.5"]
+        run = load_traces(write_trace_text(tmp_path / "t.csv", rows), index_of(["a", "b"], 10, 14), ["M"], 4)
+        assert (run.series_ids, run.methods, run.train_len, run.horizon) == (("a", "b"), ("M",), 10, 4)
+        assert np.array_equal(run.predictions["M"], [[1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5]])
         assert np.array_equal(run.actuals, [[1.0, 2.0, 3.0, 4.0]] * 2)
 
     @pytest.mark.parametrize(
         "ids, message",
-        [(["a"], "holds series 'b' absent from its sidecar"), (["a", "b", "c"], "lacks series 'c' of its sidecar")],
+        [
+            (["a"], "trace file {path} holds series 'b' absent from its sidecar"),
+            (["a", "b", "c"], "trace of ('M', 'c') does not hold t=11..11 once each in {path}"),
+        ],
+        ids=["ids0-holds series 'b' absent from its sidecar", "ids1-lacks series 'c' of its sidecar"],
     )
     def test_series_other_than_the_sidecars_rejected(self, tmp_path, ids, message):
         path = write_trace_text(tmp_path / "t.csv", ["a,M,11,1.0,1.5", "b,M,11,2.0,2.5"])
-        with pytest.raises(ConfigError, match=re.escape(f"trace file {path} {message}")):
-            load_traces(path, index_of(ids, 10, 11))
+        with pytest.raises(ConfigError, match=re.escape(message.format(path=path))):
+            load_traces(path, index_of(ids, 10, 11), ["M"], 1)
